@@ -4,6 +4,10 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
+# `--quick` smoke runs of the bench bins write their reports here, never
+# over the committed BENCH_*.json files.
+SMOKE=target/bench-smoke
+
 echo "== fmt =="
 cargo fmt --all -- --check
 
@@ -25,29 +29,33 @@ cargo test --release -q --test batch_parity
 echo "== batch throughput smoke + BENCH_batch.json schema =="
 cargo run -p fpp-bench --release --bin throughput -- --quick
 for key in bench schema_version threads element_count workloads floats_per_sec \
-           mb_per_sec memo_hit_rate summary scalar_floats_per_sec \
+           mb_per_sec summary scalar_floats_per_sec \
            sharded_floats_per_sec sharded_vs_scalar parity_checked; do
-  grep -q "\"$key\"" BENCH_batch.json \
+  grep -q "\"$key\"" "$SMOKE/BENCH_batch.json" \
     || { echo "BENCH_batch.json missing key: $key"; exit 1; }
 done
 
-echo "== fast path: parity tests (release) =="
-# Byte-for-byte parity of the Grisu-style fast path against the exact
-# engine: the sampled/stratified suites, plus the 10M-sample sweep (ignored
-# by default — it needs release-mode speed).
+echo "== shortest tier: parity tests (release) =="
+# Byte-for-byte parity of the shortest tier against the exact engine: the
+# sampled/stratified/exhaustive-16-bit suites, plus the 10M-sample sweep
+# (ignored by default — it needs release-mode speed).
 cargo test --release -q --test fastpath_parity
 cargo test --release -q --test fastpath_parity -- --ignored ten_million
 
-echo "== fast path: bench smoke + BENCH_fastpath.json schema =="
+echo "== shortest tier: bench smoke + BENCH_fastpath.json schema =="
 cargo run -p fpp-bench --release --bin fastpath -- --quick
 for key in bench schema_version quick element_count workloads accept_rate \
            exact_floats_per_sec fast_floats_per_sec speedup summary \
            parity_checked; do
-  grep -q "\"$key\"" BENCH_fastpath.json \
+  grep -q "\"$key\"" "$SMOKE/BENCH_fastpath.json" \
     || { echo "BENCH_fastpath.json missing key: $key"; exit 1; }
 done
-grep -q '"parity_checked": true' BENCH_fastpath.json \
-  || { echo "fast-path parity audit did not run"; exit 1; }
+grep -q '"parity_checked": true' "$SMOKE/BENCH_fastpath.json" \
+  || { echo "shortest-tier parity audit did not run"; exit 1; }
+# The default recipe is answered by the tier for every value.
+if grep '"accept_rate"' "$SMOKE/BENCH_fastpath.json" | grep -qv '"accept_rate": 1.000000'; then
+  echo "shortest tier declined values of the default recipe"; exit 1
+fi
 
 echo "== reader: parse parity + round-trip batteries (release) =="
 # The Eisel–Lemire tiers against the exact big-integer oracle and std:
@@ -63,10 +71,10 @@ cargo run -p fpp-bench --release --bin roundtrip -- --quick
 for key in bench schema_version quick element_count workloads accept_rate \
            exact_floats_per_sec fast_floats_per_sec speedup \
            roundtrip_floats_per_sec roundtrip_ok summary parity_checked; do
-  grep -q "\"$key\"" BENCH_reader.json \
+  grep -q "\"$key\"" "$SMOKE/BENCH_reader.json" \
     || { echo "BENCH_reader.json missing key: $key"; exit 1; }
 done
-grep -q '"roundtrip_ok": true' BENCH_reader.json \
+grep -q '"roundtrip_ok": true' "$SMOKE/BENCH_reader.json" \
   || { echo "round-trip bit audit did not pass"; exit 1; }
 
 echo "== telemetry build + tests (--features telemetry) =="
@@ -87,12 +95,12 @@ echo "== live stats smoke + BENCH_telemetry.json schema =="
 cargo run -p fpp-bench --release --features telemetry --bin stats_live -- --quick
 for key in bench schema_version quick telemetry_enabled threads element_count \
            distinct_values digit_len_hist digit_len_offline histogram_match \
-           mean_digits fixup_rate scale_violations term memo fastpath scratch \
+           mean_digits fixup_rate scale_violations term fastpath scratch \
            sharded; do
-  grep -q "\"$key\"" BENCH_telemetry.json \
+  grep -q "\"$key\"" "$SMOKE/BENCH_telemetry.json" \
     || { echo "BENCH_telemetry.json missing key: $key"; exit 1; }
 done
-grep -q '"histogram_match": true' BENCH_telemetry.json \
+grep -q '"histogram_match": true' "$SMOKE/BENCH_telemetry.json" \
   || { echo "live digit histogram diverged from offline recount"; exit 1; }
 
 echo "CI OK"

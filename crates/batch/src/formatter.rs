@@ -1,16 +1,12 @@
 //! The batch engine itself: a [`BatchFormatter`] owning every piece of
 //! reusable state one column conversion needs.
 //!
-//! The formatter holds one warm [`DtoaContext`] (power table, Table 1
-//! registers, scratch pool, digit buffer), a [digit memo](crate::cache) per
-//! float width, and — under the `parallel` feature — a pool of shard
-//! workers, each with its own context and memo. Formatting a slice walks it
-//! once: memo hit → copy the remembered bytes into the arena; miss → run
-//! the full Burger–Dybvig pipeline through the context straight into the
-//! arena and remember the result. After a first warming batch, none of this
+//! The formatter holds one warm [`DtoaContext`] and — under the `parallel`
+//! feature — a pool of shard workers, each with its own context. Formatting
+//! a slice walks it once, writing each value through the shortest tier
+//! straight into the arena. After a first warming batch, none of this
 //! touches the allocator (asserted by the root crate's `alloc_count` test).
 
-use crate::cache::{DigitMemo, MemoStats};
 use crate::output::BatchOutput;
 use fpp_core::{DtoaContext, FreeFormat};
 use fpp_float::FloatFormat;
@@ -18,11 +14,6 @@ use fpp_float::FloatFormat;
 /// Tuning knobs for a [`BatchFormatter`].
 #[derive(Debug, Clone)]
 pub struct BatchOptions {
-    /// Slots in the repeat-value digit memo (rounded up to a power of two;
-    /// `0` disables memoisation). One slot is ~40 bytes; the default 8192
-    /// (~320 KiB per float width) covers a few thousand distinct values, the
-    /// common shape of a duplicate-heavy telemetry or export column.
-    pub memo_capacity: usize,
     /// Upper bound on shard threads for the `parallel` path. `None` asks
     /// the OS ([`std::thread::available_parallelism`]). The engine never
     /// spawns more shards than the input justifies (see `min_shard_len`).
@@ -33,24 +24,28 @@ pub struct BatchOptions {
     /// default 4096 keeps each shard's slice and output comfortably inside
     /// the L2 cache while amortising spawn cost.
     pub min_shard_len: usize,
-    /// Whether to try the Grisu-style fixed-precision fast path *before*
-    /// the memo probe (default `true`). The fast path is cheaper than a
-    /// memo hit and independent of repeat structure, so even 0%-hit-rate
-    /// columns get the speedup; only its rare rejections consult the memo
-    /// and the exact engine. Disable to measure or exercise the
-    /// memo/exact-engine pipeline itself.
-    pub fast_path: bool,
 }
 
 impl Default for BatchOptions {
     fn default() -> Self {
         BatchOptions {
-            memo_capacity: 8192,
             threads: None,
             min_shard_len: 4096,
-            fast_path: true,
         }
     }
+}
+
+/// Counters of the retired repeat-value memo, kept so callers written
+/// against it still compile. The shortest tier answers every value
+/// directly, so nothing is memoised and every field reads zero.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct MemoStats {
+    /// Values answered from a memo: always 0.
+    pub hits: u64,
+    /// Values that missed a memo: always 0.
+    pub misses: u64,
+    /// Values that skipped a memo probe: always 0.
+    pub skipped: u64,
 }
 
 /// Reusable bulk converter of float slices to shortest decimal text.
@@ -70,15 +65,9 @@ impl Default for BatchOptions {
 #[derive(Debug)]
 pub struct BatchFormatter {
     /// The fixed conversion recipe: shortest round-tripping base-10 text,
-    /// exactly [`fpp_core::print_shortest`]'s configuration (fast path per
-    /// [`BatchOptions::fast_path`]).
+    /// exactly [`fpp_core::print_shortest`]'s configuration.
     format: FreeFormat,
-    /// The same recipe with the fast path off — what runs after a fast-path
-    /// rejection misses the memo, so the attempt is never repeated.
-    format_exact: FreeFormat,
     ctx: DtoaContext,
-    memo64: DigitMemo,
-    memo32: DigitMemo,
     opts: BatchOptions,
     #[cfg(feature = "parallel")]
     workers: Vec<ShardWorker>,
@@ -103,11 +92,8 @@ impl BatchFormatter {
         let mut ctx = DtoaContext::new(10);
         ctx.warm_up();
         BatchFormatter {
-            format: FreeFormat::new().fast_path(opts.fast_path),
-            format_exact: FreeFormat::new().fast_path(false),
+            format: FreeFormat::new(),
             ctx,
-            memo64: DigitMemo::new(opts.memo_capacity),
-            memo32: DigitMemo::new(opts.memo_capacity),
             opts,
             #[cfg(feature = "parallel")]
             workers: Vec::new(),
@@ -119,14 +105,7 @@ impl BatchFormatter {
     /// have seen a batch of this size.
     pub fn format_f64s(&mut self, values: &[f64], out: &mut BatchOutput) {
         fpp_telemetry::record_serial_batch();
-        format_slice(
-            (&self.format, &self.format_exact),
-            &mut self.ctx,
-            &mut self.memo64,
-            f64::to_bits,
-            values,
-            out,
-        );
+        format_slice(&self.format, &mut self.ctx, values, out);
     }
 
     /// Formats a column of `f32`s into `out` (cleared first), using `f32`
@@ -134,46 +113,22 @@ impl BatchFormatter {
     /// its exact value.
     pub fn format_f32s(&mut self, values: &[f32], out: &mut BatchOutput) {
         fpp_telemetry::record_serial_batch();
-        format_slice(
-            (&self.format, &self.format_exact),
-            &mut self.ctx,
-            &mut self.memo32,
-            |v| u64::from(v.to_bits()),
-            values,
-            out,
-        );
+        format_slice(&self.format, &mut self.ctx, values, out);
     }
 
     /// Formats one value into any sink — the building block of the
     /// serializer frontends, and useful for interleaving single values with
-    /// batches without losing the warm state. Same ordering as the batch
-    /// loop: fast path, then memo, then the exact engine.
+    /// batches without losing the warm state.
     pub fn format_one_f64(&mut self, v: f64, sink: &mut impl fpp_core::DigitSink) {
-        if self.format.try_write_fast(&mut self.ctx, sink, v) {
-            return;
-        }
-        let bits = v.to_bits();
-        if let Some(text) = self.memo64.lookup(bits) {
-            sink.push_slice(text);
-            return;
-        }
-        let mut buf = [0u8; 64];
-        let mut scratch = fpp_core::SliceSink::new(&mut buf);
-        self.format_exact.write_to(&mut self.ctx, &mut scratch, v);
-        self.memo64.insert(bits, scratch.as_bytes());
-        sink.push_slice(scratch.as_bytes());
+        self.format.write_to(&mut self.ctx, sink, v);
     }
 
-    /// Combined hit/miss counters of the `f64` and `f32` memos, plus every
-    /// shard worker's (when the `parallel` feature is on).
+    /// Counters of the retired repeat-value memo: all zero, since the
+    /// shortest tier answers every value without one. Kept for callers
+    /// that read them.
     #[must_use]
     pub fn memo_stats(&self) -> MemoStats {
-        let mut stats = self.memo64.stats().merged(self.memo32.stats());
-        #[cfg(feature = "parallel")]
-        for w in &self.workers {
-            stats = stats.merged(w.memo64.stats()).merged(w.memo32.stats());
-        }
-        stats
+        MemoStats::default()
     }
 
     /// The options this formatter was built with.
@@ -183,36 +138,17 @@ impl BatchFormatter {
     }
 }
 
-/// The shared per-slice conversion loop: fast path first, then memo
-/// consult, then the exact pipeline on a miss, arena append either way.
-/// The fast path runs *before* the memo because a proof-carrying `u64`
-/// conversion is cheaper than the probe and independent of repeat
-/// structure; only its rejections pay for the memo and the bignum engine.
-/// Keying is a function of the value's bits so the same loop serves both
-/// float widths (each with its own memo — a `f32` and a `f64` can share
-/// low bit patterns).
+/// The shared per-slice conversion loop: each value goes through the
+/// shortest tier straight into the arena, then its entry is sealed.
 fn format_slice<F: FloatFormat>(
-    (fast, exact): (&FreeFormat, &FreeFormat),
+    format: &FreeFormat,
     ctx: &mut DtoaContext,
-    memo: &mut DigitMemo,
-    key: impl Fn(F) -> u64,
     values: &[F],
     out: &mut BatchOutput,
 ) {
     out.begin();
     for &v in values {
-        if fast.try_write_fast(ctx, out.sink(), v) {
-            out.seal();
-            continue;
-        }
-        let bits = key(v);
-        if let Some(text) = memo.lookup(bits) {
-            out.push_entry(text);
-            continue;
-        }
-        let mark = out.mark();
-        exact.write_to(ctx, out.sink(), v);
-        memo.insert(bits, out.since(mark));
+        format.write_to(ctx, out.sink(), v);
         out.seal();
     }
 }
@@ -224,25 +160,21 @@ pub(crate) use parallel::ShardWorker;
 mod parallel {
     use super::*;
 
-    /// One shard's private working set: a context, memos and an output
-    /// segment, all retained across batches so the steady state allocates
-    /// nothing inside the workers either.
+    /// One shard's private working set: a context and an output segment,
+    /// both retained across batches so the steady state allocates nothing
+    /// inside the workers either.
     #[derive(Debug)]
     pub(crate) struct ShardWorker {
         ctx: DtoaContext,
-        pub(crate) memo64: DigitMemo,
-        pub(crate) memo32: DigitMemo,
         out: BatchOutput,
     }
 
     impl ShardWorker {
-        fn new(memo_capacity: usize) -> Self {
+        fn new() -> Self {
             let mut ctx = DtoaContext::new(10);
             ctx.warm_up();
             ShardWorker {
                 ctx,
-                memo64: DigitMemo::new(memo_capacity),
-                memo32: DigitMemo::new(memo_capacity),
                 out: BatchOutput::new(),
             }
         }
@@ -253,36 +185,22 @@ mod parallel {
         ///
         /// The input is split into contiguous chunks, one per shard; each
         /// shard converts its chunk into a private arena with a private
-        /// context and memo, and the segments are stitched back in input
+        /// context, and the segments are stitched back in input
         /// order — so the output is byte-identical to [`Self::format_f64s`]
         /// regardless of thread count, including on a single-core host.
         /// Inputs shorter than twice [`BatchOptions::min_shard_len`] take
         /// the serial path unchanged.
         pub fn format_f64s_sharded(&mut self, values: &[f64], out: &mut BatchOutput) {
-            self.format_sharded(values, out, |w, fmts, chunk| {
-                format_slice(
-                    fmts,
-                    &mut w.ctx,
-                    &mut w.memo64,
-                    f64::to_bits,
-                    chunk,
-                    &mut w.out,
-                );
+            self.format_sharded(values, out, |w, format, chunk| {
+                format_slice(format, &mut w.ctx, chunk, &mut w.out);
             });
         }
 
         /// Formats a column of `f32`s into `out` across shard threads (see
         /// [`Self::format_f64s_sharded`] for the splitting/stitching rules).
         pub fn format_f32s_sharded(&mut self, values: &[f32], out: &mut BatchOutput) {
-            self.format_sharded(values, out, |w, fmts, chunk| {
-                format_slice(
-                    fmts,
-                    &mut w.ctx,
-                    &mut w.memo32,
-                    |v| u64::from(v.to_bits()),
-                    chunk,
-                    &mut w.out,
-                );
+            self.format_sharded(values, out, |w, format, chunk| {
+                format_slice(format, &mut w.ctx, chunk, &mut w.out);
             });
         }
 
@@ -301,21 +219,21 @@ mod parallel {
             &mut self,
             values: &[F],
             out: &mut BatchOutput,
-            run: impl Fn(&mut ShardWorker, (&FreeFormat, &FreeFormat), &[F]) + Send + Sync,
+            run: impl Fn(&mut ShardWorker, &FreeFormat, &[F]) + Send + Sync,
         ) {
             let shards = self.shard_count(values.len());
             let chunk_len = values.len().div_ceil(shards.max(1)).max(1);
             let used = values.len().div_ceil(chunk_len.max(1)).max(1);
             while self.workers.len() < used {
-                self.workers.push(ShardWorker::new(self.opts.memo_capacity));
+                self.workers.push(ShardWorker::new());
             }
             fpp_telemetry::record_sharded_batch(used);
-            let fmts = (&self.format, &self.format_exact);
+            let format = &self.format;
             let workers = &mut self.workers[..used];
             if used == 1 {
                 // One shard: run inline, skipping thread spawn entirely.
                 fpp_telemetry::record_shard(values.len());
-                run(&mut workers[0], fmts, values);
+                run(&mut workers[0], format, values);
             } else {
                 std::thread::scope(|scope| {
                     for (worker, chunk) in workers.iter_mut().zip(values.chunks(chunk_len)) {
@@ -327,7 +245,7 @@ mod parallel {
                             // unblocks (TLS destructors alone can race the
                             // scope exit).
                             fpp_telemetry::record_shard(chunk.len());
-                            run(worker, fmts, chunk);
+                            run(worker, format, chunk);
                             fpp_telemetry::flush_thread();
                         });
                     }
@@ -358,47 +276,25 @@ mod tests {
     }
 
     #[test]
-    fn memo_hits_on_repeats_without_changing_output() {
-        // Fast path off: this test pins down the memo pipeline itself.
-        let values = [2.5, 2.5, 2.5, 2.5];
-        let mut fmt = BatchFormatter::with_options(BatchOptions {
-            fast_path: false,
-            ..BatchOptions::default()
-        });
-        let mut out = BatchOutput::new();
-        fmt.format_f64s(&values, &mut out);
-        assert_eq!(out.iter().collect::<Vec<_>>(), ["2.5"; 4]);
-        let stats = fmt.memo_stats();
-        assert_eq!(stats.hits, 3, "first is a miss, the rest hit");
-    }
-
-    #[test]
-    fn fast_path_answers_before_the_memo() {
-        // With the fast path on (the default), values it accepts never
-        // touch the memo — even when they repeat.
-        let values = [2.5, 2.5, 2.5, 2.5];
+    fn memo_stats_read_zero() {
+        let values = [2.5, 2.5, 1e23, 1e23];
         let mut fmt = BatchFormatter::new();
         let mut out = BatchOutput::new();
         fmt.format_f64s(&values, &mut out);
-        assert_eq!(out.iter().collect::<Vec<_>>(), ["2.5"; 4]);
-        let stats = fmt.memo_stats();
-        assert_eq!(stats.hits + stats.misses, 0, "memo never probed");
-        // A fast-path rejection (1e23 is an exact endpoint case) still
-        // flows through the memo and the exact engine.
-        let mut out = BatchOutput::new();
-        fmt.format_f64s(&[1e23, 1e23], &mut out);
-        assert_eq!(out.iter().collect::<Vec<_>>(), ["1e23"; 2]);
-        let stats = fmt.memo_stats();
-        assert_eq!((stats.misses, stats.hits), (1, 1));
+        assert_eq!(
+            out.iter().collect::<Vec<_>>(),
+            ["2.5", "2.5", "1e23", "1e23"]
+        );
+        assert_eq!(fmt.memo_stats(), MemoStats::default());
     }
 
     #[test]
-    fn f32_uses_its_own_boundaries_and_memo() {
+    fn f32_uses_its_own_boundaries() {
         let mut fmt = BatchFormatter::new();
         let mut out = BatchOutput::new();
         fmt.format_f32s(&[0.1f32, 0.1f32], &mut out);
         assert_eq!(out.get(0), "0.1");
-        // The same bit pattern as an f64 must not hit the f32 entry.
+        // The same bit pattern as an f64 prints with f64 boundaries.
         let alias = f64::from_bits(u64::from(0.1f32.to_bits()));
         let mut out64 = BatchOutput::new();
         fmt.format_f64s(&[alias], &mut out64);
@@ -406,17 +302,12 @@ mod tests {
     }
 
     #[test]
-    fn format_one_routes_through_memo() {
-        // Fast path off so the memo leg of format_one_f64 is exercised.
-        let mut fmt = BatchFormatter::with_options(BatchOptions {
-            fast_path: false,
-            ..BatchOptions::default()
-        });
+    fn format_one_matches_the_batch_path() {
+        let mut fmt = BatchFormatter::new();
         let mut sink = Vec::new();
         fmt.format_one_f64(9.97, &mut sink);
-        fmt.format_one_f64(9.97, &mut sink);
-        assert_eq!(sink, b"9.979.97");
-        assert_eq!(fmt.memo_stats().hits, 1);
+        fmt.format_one_f64(-1e23, &mut sink);
+        assert_eq!(sink, b"9.97-1e23");
     }
 
     #[cfg(feature = "parallel")]
@@ -426,7 +317,6 @@ mod tests {
         let mut fmt = BatchFormatter::with_options(BatchOptions {
             threads: Some(4),
             min_shard_len: 16,
-            ..BatchOptions::default()
         });
         let mut serial = BatchOutput::new();
         let mut sharded = BatchOutput::new();

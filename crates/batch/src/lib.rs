@@ -7,7 +7,8 @@
 //! parsing work, the Gareau–Lemire shortest-decimal review) measures:
 //! conversion as an array-to-array problem, reported in floats/s and MB/s.
 //!
-//! Three mechanisms carry the throughput:
+//! Two mechanisms carry the throughput, on top of the shortest tier that
+//! answers every value with `u64` arithmetic:
 //!
 //! 1. **Context reuse** — every shard owns one warm [`fpp_core::DtoaContext`]
 //!    (power table, big-integer registers, scratch pool, digit buffer), so
@@ -15,14 +16,10 @@
 //! 2. **Columnar output** — all texts land back-to-back in one
 //!    [`BatchOutput`] arena with a `u32` offsets table, instead of a
 //!    million `String`s.
-//! 3. **Repeat-value memo** — a fixed, direct-mapped cache keyed on the
-//!    float's bits short-circuits duplicate-heavy columns (telemetry,
-//!    quantized readings, sparse zeros) from microseconds of big-integer
-//!    work down to a memcpy.
 //!
 //! With the `parallel` feature (default), [`BatchFormatter::format_f64s_sharded`]
 //! splits the input into cache-friendly chunks across scoped threads — each
-//! shard with its own context and memo — and stitches the segments back in
+//! shard with its own context — and stitches the segments back in
 //! input order, so output is **deterministic and byte-identical to the
 //! serial path** at any thread count.
 //!
@@ -45,11 +42,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod cache;
 mod formatter;
 mod output;
 mod serialize;
 
-pub use cache::MemoStats;
-pub use formatter::{BatchFormatter, BatchOptions};
+pub use formatter::{BatchFormatter, BatchOptions, MemoStats};
 pub use output::BatchOutput;

@@ -124,16 +124,6 @@ impl BatchOutput {
         self.offsets.push(0);
     }
 
-    /// Current end of the arena (the start offset of an entry in progress).
-    pub(crate) fn mark(&self) -> usize {
-        self.bytes.len()
-    }
-
-    /// The bytes written since `mark` (the entry in progress).
-    pub(crate) fn since(&self, mark: usize) -> &[u8] {
-        &self.bytes[mark..]
-    }
-
     /// The arena as a sink for the conversion pipeline to append into.
     pub(crate) fn sink(&mut self) -> &mut Vec<u8> {
         &mut self.bytes
@@ -148,12 +138,6 @@ impl BatchOutput {
         let end = u32::try_from(self.bytes.len())
             .expect("fpp_batch: arena exceeds the 4 GiB u32 offset range; split the batch");
         self.offsets.push(end);
-    }
-
-    /// Appends a fully rendered entry (a memo hit) and seals it.
-    pub(crate) fn push_entry(&mut self, text: &[u8]) {
-        self.bytes.extend_from_slice(text);
-        self.seal();
     }
 
     /// Appends another output's entries after this one's, shifting its
@@ -179,7 +163,8 @@ mod tests {
         let mut out = BatchOutput::new();
         out.begin();
         for e in entries {
-            out.push_entry(e.as_bytes());
+            out.sink().extend_from_slice(e.as_bytes());
+            out.seal();
         }
         out
     }

@@ -2,7 +2,7 @@
 //! any [`DigitSink`] — no intermediate `String`s, no per-row allocation.
 //!
 //! Both frontends drive [`BatchFormatter::format_one_f64`], so they share
-//! the formatter's warm context and repeat-value memo. Pair them with
+//! the formatter's warm context. Pair them with
 //! [`fpp_core::IoSink`] over a `BufWriter` to export straight to a file or
 //! socket.
 

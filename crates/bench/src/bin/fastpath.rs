@@ -1,6 +1,7 @@
-//! Fast-path acceptance and speedup report: how often the Grisu-style u64
-//! fast path answers on its own, and what that buys over the exact
-//! Burger–Dybvig engine on the scalar shortest-digits route.
+//! Shortest-tier coverage and speedup report: how often the shortest tier
+//! answers on its own (every value, for the default recipe), and what that
+//! buys over the exact Burger–Dybvig engine on the scalar shortest-digits
+//! route.
 //!
 //! ```bash
 //! cargo run -p fpp-bench --release --bin fastpath            # 1M values
@@ -10,17 +11,16 @@
 //! Two workloads (shared with `throughput`/`stats_live` via
 //! [`fpp_bench::workloads`]):
 //!
-//! * `uniform` — log-uniform doubles, the acceptance-rate headline: the
-//!   issue's bar is ≥ 99% of uniform random f64 answered without falling
-//!   back.
-//! * `schryer` — the paper's hard cases, deliberately boundary-heavy, a
-//!   stress test for the rejection criterion rather than a speed claim.
+//! * `uniform` — log-uniform doubles, the throughput headline.
+//! * `schryer` — the paper's hard cases, deliberately boundary-heavy.
 //!
-//! Per workload: an acceptance census via [`FreeFormat::try_write_fast`], a
-//! byte-for-byte parity audit of the default (fast-enabled) formatter
-//! against a `.fast_path(false)` exact formatter over *every* value, and
-//! best-of-`reps` timed passes of both through a reused [`SliceSink`].
-//! Results land in `BENCH_fastpath.json` (schema validated by `ci.sh`).
+//! Per workload: an acceptance census via [`FreeFormat::try_write_fast`]
+//! (`ci.sh` asserts it is 1.0), a byte-for-byte parity audit of the default
+//! formatter against a `.fast_path(false)` exact formatter over *every*
+//! value, and best-of-`reps` timed passes of both through a reused
+//! [`SliceSink`]. Results land in `BENCH_fastpath.json` (schema validated
+//! by `ci.sh`); a `--quick` run writes under `target/bench-smoke/`
+//! instead.
 
 use fpp_bench::workloads::{schryer_column, uniform_column};
 use fpp_core::{DtoaContext, FreeFormat, SliceSink};
@@ -30,7 +30,7 @@ use std::time::Instant;
 /// Longest shortest-form f64 rendering is well under this.
 const BUF: usize = 64;
 
-/// Counts fast-path acceptances over the column.
+/// Counts the values the shortest tier answers itself.
 fn acceptance(ctx: &mut DtoaContext, values: &[f64]) -> usize {
     let fast = FreeFormat::new();
     let mut buf = [0u8; BUF];
@@ -44,8 +44,8 @@ fn acceptance(ctx: &mut DtoaContext, values: &[f64]) -> usize {
     accepted
 }
 
-/// Byte-for-byte parity of the fast-enabled format against the exact
-/// engine, over every value. Panics on the first divergence.
+/// Byte-for-byte parity of the default format against the exact engine,
+/// over every value. Panics on the first divergence.
 fn audit_parity(ctx: &mut DtoaContext, values: &[f64]) {
     let fast = FreeFormat::new();
     let exact = FreeFormat::new().fast_path(false);
@@ -61,7 +61,7 @@ fn audit_parity(ctx: &mut DtoaContext, values: &[f64]) {
         assert_eq!(
             &fbuf[..flen],
             &ebuf[..elen],
-            "fast path diverges from exact engine at index {i} ({v:?})"
+            "the shortest tier diverges from the exact engine at index {i} ({v:?})"
         );
     }
 }
@@ -103,7 +103,7 @@ fn main() {
     let fast = FreeFormat::new();
     let exact = FreeFormat::new().fast_path(false);
 
-    println!("fast-path report: {n} values/workload, best of {reps} rep(s)\n");
+    println!("shortest-tier report: {n} values/workload, best of {reps} rep(s)\n");
 
     let mut workload_json = String::new();
     let mut summary = None;
@@ -147,6 +147,6 @@ fn main() {
     let json = format!(
         "{{\n  \"bench\": \"fastpath\",\n  \"schema_version\": 1,\n  \"quick\": {quick},\n  \"element_count\": {n},\n  \"workloads\": [\n{workload_json}\n  ],\n  \"summary\": {{\n    \"workload\": \"uniform\",\n    \"accept_rate\": {accept_rate:.6},\n    \"exact_floats_per_sec\": {exact_fps:.0},\n    \"fast_floats_per_sec\": {fast_fps:.0},\n    \"speedup\": {speedup:.3},\n    \"parity_checked\": true\n  }}\n}}\n"
     );
-    std::fs::write("BENCH_fastpath.json", json).expect("write BENCH_fastpath.json");
-    println!("wrote BENCH_fastpath.json");
+    let path = fpp_bench::write_report("BENCH_fastpath.json", quick, &json);
+    println!("wrote {}", path.display());
 }

@@ -171,6 +171,6 @@ fn main() {
     let json = format!(
         "{{\n  \"bench\": \"roundtrip\",\n  \"schema_version\": 1,\n  \"quick\": {quick},\n  \"element_count\": {n},\n  \"workloads\": [\n{workload_json}\n  ],\n  \"summary\": {{\n    \"workload\": \"uniform\",\n    \"accept_rate\": {accept_rate:.6},\n    \"exact_floats_per_sec\": {exact_fps:.0},\n    \"fast_floats_per_sec\": {fast_fps:.0},\n    \"speedup\": {speedup:.3},\n    \"roundtrip_floats_per_sec\": {rt_fps:.0},\n    \"roundtrip_ok\": true,\n    \"parity_checked\": true\n  }}\n}}\n"
     );
-    std::fs::write("BENCH_reader.json", json).expect("write BENCH_reader.json");
-    println!("wrote BENCH_reader.json");
+    let path = fpp_bench::write_report("BENCH_reader.json", quick, &json);
+    println!("wrote {}", path.display());
 }

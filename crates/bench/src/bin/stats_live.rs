@@ -1,6 +1,6 @@
 //! Live-counter reproduction of the paper's distribution tables: replays
-//! the duplicate-heavy telemetry workload through the batch engine and
-//! regenerates a Table-2-style digit-length/fixup report straight from the
+//! the duplicate-heavy telemetry workload through the exact engine and the
+//! batch engine and regenerates a Table-2-style digit-length/fixup report straight from the
 //! `fpp-telemetry` registry, cross-checked against an offline recount.
 //!
 //! ```bash
@@ -10,24 +10,25 @@
 //!
 //! Two passes over the same column:
 //!
-//! 1. **Histogram pass** — serial, memo off, so every value runs the full
-//!    digit loop: the live digit-length histogram must match an offline
-//!    recount via [`free_format_digits`] exactly, and the §3.2 fixup
-//!    counters partition the conversions (`exact + fixups = conversions`,
-//!    violations = 0).
-//! 2. **Engine pass** — memo on, serial then sharded: memo hit/miss/
-//!    eviction rates, shard-length histogram and stitch bytes, the way a
-//!    production exporter would see them.
+//! 1. **Histogram pass** — the exact engine alone (`fast_path(false)`),
+//!    so every value runs the full digit loop: the live digit-length
+//!    histogram must match an offline recount via [`free_format_digits`]
+//!    exactly, and the §3.2 fixup counters partition the conversions
+//!    (`exact + fixups = conversions`, violations = 0).
+//! 2. **Engine pass** — the batch engine, serial then sharded: the
+//!    shortest tier answers every value, plus the shard-length histogram
+//!    and stitch bytes, the way a production exporter would see them.
 //!
-//! Results land in `BENCH_telemetry.json` (schema validated by `ci.sh`).
+//! Results land in `BENCH_telemetry.json` (schema validated by `ci.sh`); a
+//! `--quick` run writes under `target/bench-smoke/` instead.
 //! Without `--features telemetry` the binary still runs the same passes and
 //! emits the same schema with zeroed counters and `"telemetry_enabled":
 //! false` — the cross-checks are only asserted when the counters are live.
 
-use fpp_batch::{BatchFormatter, BatchOptions, BatchOutput};
+use fpp_batch::{BatchFormatter, BatchOutput};
 use fpp_bench::workloads::telemetry_column;
 use fpp_bignum::PowerTable;
-use fpp_core::{free_format_digits, ScalingStrategy, TieBreak};
+use fpp_core::{free_format_digits, DtoaContext, FreeFormat, ScalingStrategy, TieBreak};
 use fpp_float::{RoundingMode, SoftFloat};
 use fpp_telemetry::{Counter, Gauge, TelemetrySnapshot, DIGIT_LEN_BUCKETS};
 use std::collections::HashMap;
@@ -79,20 +80,22 @@ fn main() {
     // Construct (and warm) every formatter *before* resetting the counters:
     // `DtoaContext::warm_up` runs real conversions that would otherwise
     // contaminate the histograms.
-    // Pass 1 runs with the fast path off as well as the memo: its whole
-    // point is that *every* value exercises the exact digit loop so the
-    // live histogram can be recounted offline.
-    let mut nocache = BatchFormatter::with_options(BatchOptions {
-        memo_capacity: 0,
-        fast_path: false,
-        ..BatchOptions::default()
-    });
-    let mut cached = BatchFormatter::new();
+    // Pass 1 runs the exact engine alone: its whole point is that *every*
+    // value exercises the exact digit loop so the live histogram can be
+    // recounted offline.
+    let mut ctx = DtoaContext::new(10);
+    ctx.warm_up();
+    let exact = FreeFormat::new().fast_path(false);
+    let mut engine = BatchFormatter::new();
     let mut out = BatchOutput::with_capacity(n, n * 18);
 
-    // Pass 1 — histogram: serial, memo off, every value through the loop.
+    // Pass 1 — histogram: every value through the exact digit loop.
     fpp_telemetry::reset();
-    nocache.format_f64s(&values, &mut out);
+    let mut text = Vec::with_capacity(32);
+    for &v in &values {
+        text.clear();
+        exact.write_to(&mut ctx, &mut text, v);
+    }
     let hist_snap = TelemetrySnapshot::capture();
 
     // The offline recount runs the pipeline again (contaminating the live
@@ -101,12 +104,11 @@ fn main() {
     let offline = offline_digit_hist(&values);
     let histogram_match = !enabled || hist_snap.digit_len == offline;
 
-    // Pass 2 — engine: memo on, serial then sharded, production shape.
+    // Pass 2 — engine: serial then sharded, production shape.
     fpp_telemetry::reset();
-    cached.format_f64s(&values, &mut out);
-    cached.format_f64s_sharded(&values, &mut out);
+    engine.format_f64s(&values, &mut out);
+    engine.format_f64s_sharded(&values, &mut out);
     let engine_snap = TelemetrySnapshot::capture();
-    let memo = cached.memo_stats();
 
     if enabled {
         assert_eq!(
@@ -116,7 +118,7 @@ fn main() {
         assert_eq!(
             hist_snap.get(Counter::CoreConversions),
             n as u64,
-            "memo-off pass must convert every value"
+            "the exact pass must convert every value"
         );
         assert_eq!(
             hist_snap.get(Counter::CoreScaleExact) + hist_snap.get(Counter::CoreScaleFixups),
@@ -130,36 +132,24 @@ fn main() {
                 "§3.2 'within one' contract violated"
             );
         }
+        // Pass 1 never uses the tier; pass 2 answers every finite value of
+        // both the serial and sharded runs with it, and the exact engine
+        // stays idle.
         assert_eq!(
-            memo.hits + memo.misses,
-            engine_snap.get(Counter::BatchMemoHits) + engine_snap.get(Counter::BatchMemoMisses),
-            "MemoStats and telemetry registry disagree"
-        );
-        assert_eq!(
-            memo.skipped,
-            engine_snap.get(Counter::BatchMemoSkipped),
-            "MemoStats.skipped and telemetry registry disagree"
-        );
-        // Pass 1 must never attempt the fast path; pass 2 attempts it on
-        // every finite value of both the serial and sharded runs.
-        assert_eq!(
-            hist_snap.get(Counter::CoreFastPathHits)
-                + hist_snap.get(Counter::CoreFastPathFallbacks),
+            hist_snap.get(Counter::CoreFastPathHits),
             0,
-            "fast path ran in the exact-engine histogram pass"
+            "the shortest tier ran in the exact-engine histogram pass"
         );
         assert_eq!(
-            engine_snap.get(Counter::CoreFastPathHits)
-                + engine_snap.get(Counter::CoreFastPathFallbacks),
+            engine_snap.get(Counter::CoreFastPathHits),
             2 * n as u64,
-            "every engine-pass conversion records one fast-path attempt"
+            "the shortest tier answers every engine-pass conversion"
         );
-        // A fast-path fallback either hits the memo or runs the exact
-        // engine — so exact conversions and memo misses must agree.
         assert_eq!(
-            engine_snap.get(Counter::CoreConversions),
-            engine_snap.get(Counter::BatchMemoMisses),
-            "fallbacks must partition into memo hits and exact conversions"
+            engine_snap.get(Counter::CoreFastPathFallbacks)
+                + engine_snap.get(Counter::CoreConversions),
+            0,
+            "the exact engine ran in the engine pass"
         );
     }
 
@@ -183,15 +173,7 @@ fn main() {
         hist_snap.get(Counter::CoreScaleViolations),
     );
     println!(
-        "memo               {} hits / {} misses / {} evictions / {} skipped (hit rate {:.4})",
-        memo.hits,
-        memo.misses,
-        memo.evictions,
-        memo.skipped,
-        memo.hit_rate()
-    );
-    println!(
-        "fast path          {} hits / {} fallbacks (hit rate {:.4})",
+        "shortest tier      {} answers / {} exact-engine runs (rate {:.4})",
         engine_snap.get(Counter::CoreFastPathHits),
         engine_snap.get(Counter::CoreFastPathFallbacks),
         engine_snap.fastpath_hit_rate(),
@@ -210,7 +192,7 @@ fn main() {
     );
 
     let json = format!(
-        "{{\n  \"bench\": \"telemetry_stats\",\n  \"schema_version\": 1,\n  \"quick\": {quick},\n  \"telemetry_enabled\": {enabled},\n  \"threads\": {threads},\n  \"element_count\": {n},\n  \"distinct_values\": {distinct},\n  \"digit_len_hist\": {},\n  \"digit_len_offline\": {},\n  \"histogram_match\": {histogram_match},\n  \"mean_digits\": {mean_digits:.4},\n  \"fixup_rate\": {fixup_rate:.6},\n  \"scale_violations\": {},\n  \"term\": {{\n    \"low\": {},\n    \"high\": {},\n    \"tie\": {},\n    \"tie_round_up\": {}\n  }},\n  \"memo\": {{\n    \"hits\": {},\n    \"misses\": {},\n    \"evictions\": {},\n    \"skipped\": {},\n    \"hit_rate\": {:.6}\n  }},\n  \"fastpath\": {{\n    \"hits\": {},\n    \"fallbacks\": {},\n    \"hit_rate\": {:.6}\n  }},\n  \"scratch\": {{\n    \"takes\": {},\n    \"puts\": {},\n    \"pool_misses\": {},\n    \"pool_hwm\": {},\n    \"limbs_hwm\": {}\n  }},\n  \"sharded\": {{\n    \"batches\": {},\n    \"shards_run\": {},\n    \"stitch_bytes\": {}\n  }}\n}}\n",
+        "{{\n  \"bench\": \"telemetry_stats\",\n  \"schema_version\": 2,\n  \"quick\": {quick},\n  \"telemetry_enabled\": {enabled},\n  \"threads\": {threads},\n  \"element_count\": {n},\n  \"distinct_values\": {distinct},\n  \"digit_len_hist\": {},\n  \"digit_len_offline\": {},\n  \"histogram_match\": {histogram_match},\n  \"mean_digits\": {mean_digits:.4},\n  \"fixup_rate\": {fixup_rate:.6},\n  \"scale_violations\": {},\n  \"term\": {{\n    \"low\": {},\n    \"high\": {},\n    \"tie\": {},\n    \"tie_round_up\": {}\n  }},\n  \"fastpath\": {{\n    \"hits\": {},\n    \"fallbacks\": {},\n    \"hit_rate\": {:.6}\n  }},\n  \"scratch\": {{\n    \"takes\": {},\n    \"puts\": {},\n    \"pool_misses\": {},\n    \"pool_hwm\": {},\n    \"limbs_hwm\": {}\n  }},\n  \"sharded\": {{\n    \"batches\": {},\n    \"shards_run\": {},\n    \"stitch_bytes\": {}\n  }}\n}}\n",
         json_array(&hist_snap.digit_len),
         json_array(&offline),
         hist_snap.get(Counter::CoreScaleViolations),
@@ -218,11 +200,6 @@ fn main() {
         hist_snap.get(Counter::CoreTermHigh),
         hist_snap.get(Counter::CoreTermTie),
         hist_snap.get(Counter::CoreTieRoundUp),
-        memo.hits,
-        memo.misses,
-        memo.evictions,
-        memo.skipped,
-        memo.hit_rate(),
         engine_snap.get(Counter::CoreFastPathHits),
         engine_snap.get(Counter::CoreFastPathFallbacks),
         engine_snap.fastpath_hit_rate(),
@@ -235,6 +212,6 @@ fn main() {
         engine_snap.get(Counter::BatchShardsRun),
         engine_snap.get(Counter::BatchStitchBytes),
     );
-    std::fs::write("BENCH_telemetry.json", json).expect("write BENCH_telemetry.json");
-    println!("\nwrote BENCH_telemetry.json");
+    let path = fpp_bench::write_report("BENCH_telemetry.json", quick, &json);
+    println!("\nwrote {}", path.display());
 }

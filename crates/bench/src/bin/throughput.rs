@@ -9,29 +9,27 @@
 //!
 //! Three workloads (all deterministic):
 //!
-//! * `uniform` — log-uniform doubles, essentially all distinct: the memo's
-//!   worst case, isolating context reuse and the columnar arena.
+//! * `uniform` — log-uniform doubles, essentially all distinct.
 //! * `telemetry` — 1M draws from 2,000 distinct quantized readings: the
-//!   duplicate-heavy column shape (sensor dumps, sparse matrices) the
-//!   repeat-value memo exists for.
+//!   duplicate-heavy column shape (sensor dumps, sparse matrices).
 //! * `schryer` — the paper's Schryer-form hard cases, cycled to size.
 //!
-//! Five paths per workload: `scalar` (the status-quo per-value
-//! `print_shortest` `String` loop), `batch` (serial arena, memo off),
-//! `cached` (serial arena, memo on), `sharded` (the engine's default bulk
-//! path: shards + memo), and `sharded_nocache` (shards alone). Every batch
-//! path's arena is verified byte-identical to the others and, at sampled
-//! indices, to `print_shortest`; a mismatch fails the run.
+//! Three paths per workload: `scalar` (the status-quo per-value
+//! `print_shortest` `String` loop), `batch` (serial arena) and `sharded`
+//! (the engine's default bulk path). Every batch path's arena is verified
+//! byte-identical to the other and, at sampled indices, to
+//! `print_shortest`; a mismatch fails the run.
 //!
 //! Timings are best-of-3 steady-state passes after a warming pass (the
 //! minimum is the least noise-contaminated estimate on shared/bursty
 //! hosts); `--quick` does a single pass over a small input for CI smoke.
 //!
-//! Results land in `BENCH_batch.json` (schema validated by `ci.sh`). On a
+//! Results land in `BENCH_batch.json` (schema validated by `ci.sh`); a
+//! `--quick` run writes under `target/bench-smoke/` instead. On a
 //! single-core host the sharded path degenerates to one shard, so its gains
-//! there come from context reuse and the memo; shard scaling needs cores.
+//! there come from context reuse alone; shard scaling needs cores.
 
-use fpp_batch::{BatchFormatter, BatchOptions, BatchOutput};
+use fpp_batch::{BatchFormatter, BatchOutput};
 use fpp_bench::workloads::{schryer_column, telemetry_column, uniform_column};
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -167,38 +165,21 @@ fn main() {
 
     println!("batch throughput: {n} values/workload, {threads} hardware thread(s)\n");
 
-    let nocache = || {
-        BatchFormatter::with_options(BatchOptions {
-            memo_capacity: 0,
-            ..BatchOptions::default()
-        })
-    };
-
     let mut workload_json = String::new();
     let mut summary = None;
     for (wi, (name, values)) in workloads.iter().enumerate() {
         let mut runs = Vec::new();
         runs.push(run_scalar(values, reps));
 
-        let (stat, out_batch) = run_batch("batch", &mut nocache(), values, false, reps);
-        runs.push(stat);
-        let mut cached_fmt = BatchFormatter::new();
-        let (stat, out_cached) = run_batch("cached", &mut cached_fmt, values, false, reps);
-        let cached_hit_rate = cached_fmt.memo_stats().hit_rate();
+        let (stat, out_batch) = run_batch("batch", &mut BatchFormatter::new(), values, false, reps);
         runs.push(stat);
         let (stat, out_sharded) =
             run_batch("sharded", &mut BatchFormatter::new(), values, true, reps);
         runs.push(stat);
-        let (stat, out_sharded_nc) =
-            run_batch("sharded_nocache", &mut nocache(), values, true, reps);
-        runs.push(stat);
 
-        audit_parity(
-            values,
-            &[&out_batch, &out_cached, &out_sharded, &out_sharded_nc],
-        );
+        audit_parity(values, &[&out_batch, &out_sharded]);
 
-        println!("workload `{name}` (memo hit rate {cached_hit_rate:.3}):");
+        println!("workload `{name}`:");
         for r in &runs {
             println!(
                 "  {:<16} {:>9.3} s {:>13.0} floats/s {:>9.2} MB/s",
@@ -212,7 +193,7 @@ fn main() {
 
         if *name == "telemetry" {
             let scalar = runs[0].floats_per_sec();
-            let sharded = runs[3].floats_per_sec();
+            let sharded = runs[2].floats_per_sec();
             summary = Some((scalar, sharded));
         }
         if wi > 0 {
@@ -220,7 +201,7 @@ fn main() {
         }
         let _ = write!(
             workload_json,
-            "    {{\n      \"name\": \"{name}\",\n      \"values\": {n},\n      \"parity\": true,\n      \"memo_hit_rate\": {cached_hit_rate:.4},\n      \"runs\": [\n{}\n      ]\n    }}",
+            "    {{\n      \"name\": \"{name}\",\n      \"values\": {n},\n      \"parity\": true,\n      \"runs\": [\n{}\n      ]\n    }}",
             json_runs(&runs)
         );
     }
@@ -233,8 +214,8 @@ fn main() {
     );
 
     let json = format!(
-        "{{\n  \"bench\": \"batch_throughput\",\n  \"schema_version\": 1,\n  \"quick\": {quick},\n  \"threads\": {threads},\n  \"element_count\": {n},\n  \"telemetry_distinct_values\": {distinct},\n  \"workloads\": [\n{workload_json}\n  ],\n  \"summary\": {{\n    \"workload\": \"telemetry\",\n    \"scalar_floats_per_sec\": {scalar:.0},\n    \"sharded_floats_per_sec\": {sharded:.0},\n    \"sharded_vs_scalar\": {speedup:.3},\n    \"parity_checked\": true\n  }}\n}}\n"
+        "{{\n  \"bench\": \"batch_throughput\",\n  \"schema_version\": 2,\n  \"quick\": {quick},\n  \"threads\": {threads},\n  \"element_count\": {n},\n  \"telemetry_distinct_values\": {distinct},\n  \"workloads\": [\n{workload_json}\n  ],\n  \"summary\": {{\n    \"workload\": \"telemetry\",\n    \"scalar_floats_per_sec\": {scalar:.0},\n    \"sharded_floats_per_sec\": {sharded:.0},\n    \"sharded_vs_scalar\": {speedup:.3},\n    \"parity_checked\": true\n  }}\n}}\n"
     );
-    std::fs::write("BENCH_batch.json", json).expect("write BENCH_batch.json");
-    println!("wrote BENCH_batch.json");
+    let path = fpp_bench::write_report("BENCH_batch.json", quick, &json);
+    println!("wrote {}", path.display());
 }

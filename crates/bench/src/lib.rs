@@ -18,6 +18,28 @@
 pub mod sweep;
 pub mod workloads;
 
+use std::path::PathBuf;
+
+/// Writes a report binary's JSON and returns where it went: the committed
+/// `BENCH_*.json` in the working directory for a full run, or
+/// `target/bench-smoke/` for a `--quick` smoke run, so CI smoke numbers
+/// never overwrite the committed ones.
+///
+/// # Panics
+///
+/// Panics if the file (or the smoke directory) cannot be written.
+pub fn write_report(file: &str, quick: bool, json: &str) -> PathBuf {
+    let path = if quick {
+        let dir = PathBuf::from("target/bench-smoke");
+        std::fs::create_dir_all(&dir).expect("create target/bench-smoke");
+        dir.join(file)
+    } else {
+        PathBuf::from(file)
+    };
+    std::fs::write(&path, json).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
+    path
+}
+
 pub use sweep::{
     count_fixed_roundtrip_failures, count_free_roundtrip_failures, count_naive_incorrect,
     sweep_fixed_seventeen, sweep_free, sweep_naive_printf, sweep_scale_only, sweep_shortest_sink,

@@ -6,15 +6,14 @@
 use fpp_testgen::prng::Xoshiro256pp;
 use fpp_testgen::{log_uniform_doubles, SchryerSet};
 
-/// Log-uniform doubles, essentially all distinct — the repeat-value memo's
-/// worst case, isolating raw conversion speed.
+/// Log-uniform doubles, essentially all distinct — raw conversion speed.
 #[must_use]
 pub fn uniform_column(n: usize) -> Vec<f64> {
     log_uniform_doubles(42).take(n).collect()
 }
 
 /// The duplicate-heavy column: `n` draws from `distinct` quantized
-/// readings — the sensor-dump/sparse-matrix shape the memo exists for.
+/// readings — the sensor-dump/sparse-matrix shape.
 #[must_use]
 pub fn telemetry_column(n: usize, distinct: usize) -> Vec<f64> {
     let pool: Vec<f64> = log_uniform_doubles(0xC0FFEE).take(distinct).collect();

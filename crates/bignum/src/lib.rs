@@ -17,6 +17,9 @@
 //! * [`PowerTable`] — a memoising cache of `B^k` values, mirroring the
 //!   paper's cached table of `10^k` for `0 ≤ k ≤ 325` (Figure 2) but generic
 //!   over the output base.
+//! * [`pow5`] — the 128-bit power-of-five table shared by the printer's
+//!   shortest tier and the reader's Eisel–Lemire tier, with the integer
+//!   logarithms that index it.
 //!
 //! The limb size is 64 bits ([`Limb`]); intermediate products use `u128`.
 //!
@@ -38,6 +41,7 @@
 
 mod int;
 mod nat;
+pub mod pow5;
 mod power_table;
 mod rational;
 mod scratch;

@@ -73,10 +73,10 @@ impl DtoaContext {
         // Priming traffic, not workload: don't let it contaminate live
         // counters (shard contexts are built lazily, mid-measurement).
         fpp_telemetry::with_recording_paused(|| {
-            // Drive the extremes through the *exact* engine explicitly:
-            // with the fast path enabled, accepted values would skip the
-            // bignum pipeline and leave its registers (and deep power-table
-            // entries) cold for the first rejected conversion.
+            // Drive the extremes through the *exact* engine explicitly: the
+            // shortest tier would answer them without touching the bignum
+            // registers and deep power-table entries that other
+            // configurations (other bases, directed modes) need warm.
             let exact = crate::FreeFormat::new().base(self.base()).fast_path(false);
             let mut buf = [0u8; 96];
             for v in [
@@ -89,8 +89,8 @@ impl DtoaContext {
                 let mut sink = crate::SliceSink::new(&mut buf);
                 exact.write_to(self, &mut sink, v);
             }
-            // One fast-path conversion forces the one-time (global) cached
-            // powers-of-ten table build, so it never lands in a timed
+            // One shortest-tier conversion forces the one-time (global)
+            // power-of-five table build, so it never lands in a timed
             // region.
             let fast = crate::FreeFormat::new().base(self.base());
             let mut sink = crate::SliceSink::new(&mut buf);
@@ -100,9 +100,8 @@ impl DtoaContext {
     }
 
     /// Writes the shortest round-tripping form of `v` into `sink` — the
-    /// method form of [`crate::write_shortest`] (identical bytes). Tries
-    /// the Grisu-style fast path first and falls back to the exact
-    /// Burger–Dybvig engine when the fast path cannot prove its answer.
+    /// method form of [`crate::write_shortest`] (identical bytes), answered
+    /// by the shortest tier.
     ///
     /// ```
     /// use fpp_core::{DtoaContext, SliceSink};

@@ -7,6 +7,21 @@ use crate::scale::{initial_state, InitialState, ScalingStrategy};
 use fpp_bignum::PowerTable;
 use fpp_float::{RoundingMode, SoftFloat};
 
+/// The endpoint rule of a nearest-family reader: which interval ends read
+/// back as `v`. `None` for the directed modes, which reshape the interval
+/// itself (see [`apply_rounding_mode`]). Shared by the exact engine and
+/// the shortest tier, so both admit exactly the same endpoints.
+pub(crate) fn nearest_inclusivity(mode: RoundingMode, mantissa_even: bool) -> Option<Inclusivity> {
+    let (low_ok, high_ok) = match mode {
+        RoundingMode::NearestEven => (mantissa_even, mantissa_even),
+        RoundingMode::NearestAwayFromZero => (true, false),
+        RoundingMode::NearestTowardZero => (false, true),
+        RoundingMode::Conservative => (false, false),
+        RoundingMode::TowardZero | RoundingMode::AwayFromZero => return None,
+    };
+    Some(Inclusivity { low_ok, high_ok })
+}
+
 /// Derives the endpoint-inclusivity flags for a value under a reader
 /// rounding mode, adjusting the half-gap numerators for the directed modes
 /// (whose rounding ranges are `[v, v⁺)` / `(v⁻, v]` rather than the
@@ -16,43 +31,25 @@ pub(crate) fn apply_rounding_mode(
     v: &SoftFloat,
     mode: RoundingMode,
 ) -> Inclusivity {
-    match mode {
-        RoundingMode::NearestEven => {
-            let ok = v.mantissa_is_even();
-            Inclusivity {
-                low_ok: ok,
-                high_ok: ok,
-            }
-        }
-        RoundingMode::NearestAwayFromZero => Inclusivity {
+    if let Some(inc) = nearest_inclusivity(mode, v.mantissa_is_even()) {
+        return inc;
+    }
+    if mode == RoundingMode::TowardZero {
+        // Range [v, v⁺): everything at or above v up to the successor.
+        state.m_plus.mul_u64(2);
+        state.m_minus.set_zero();
+        Inclusivity {
             low_ok: true,
             high_ok: false,
-        },
-        RoundingMode::NearestTowardZero => Inclusivity {
+        }
+    } else {
+        // AwayFromZero. Range (v⁻, v]: everything above the predecessor up
+        // to v.
+        state.m_minus.mul_u64(2);
+        state.m_plus.set_zero();
+        Inclusivity {
             low_ok: false,
             high_ok: true,
-        },
-        RoundingMode::Conservative => Inclusivity {
-            low_ok: false,
-            high_ok: false,
-        },
-        RoundingMode::TowardZero => {
-            // Range [v, v⁺): everything at or above v up to the successor.
-            state.m_plus.mul_u64(2);
-            state.m_minus.set_zero();
-            Inclusivity {
-                low_ok: true,
-                high_ok: false,
-            }
-        }
-        RoundingMode::AwayFromZero => {
-            // Range (v⁻, v]: everything above the predecessor up to v.
-            state.m_minus.mul_u64(2);
-            state.m_plus.set_zero();
-            Inclusivity {
-                low_ok: false,
-                high_ok: true,
-            }
         }
     }
 }

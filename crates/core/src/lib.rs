@@ -60,13 +60,13 @@
 
 mod ctx;
 mod exact;
-mod fastpath;
 pub mod figures;
 mod fixed;
 mod free;
 mod generate;
 mod notation;
 mod scale;
+mod shortest;
 mod sink;
 mod stream;
 
@@ -268,11 +268,11 @@ impl FreeFormat {
         }
     }
 
-    /// Enables or disables the Grisu-style fixed-precision fast path
-    /// (enabled by default). The fast path only ever produces digits it can
-    /// prove identical to the exact engine's, so disabling it changes
-    /// nothing but speed — useful for benchmarking the exact engine and for
-    /// parity tests.
+    /// Enables or disables the shortest tier (enabled by default). The
+    /// tier computes exactly the exact engine's digits, so disabling it
+    /// changes nothing but speed: `fast_path(false)` runs the Burger–Dybvig
+    /// engine alone, for benchmarking it and as the oracle of the parity
+    /// tests.
     #[must_use]
     pub fn fast_path(mut self, enabled: bool) -> Self {
         self.fast_path = enabled;
@@ -346,32 +346,29 @@ impl FreeFormat {
         })
     }
 
-    /// Whether this configuration can be answered by the fast path at all:
-    /// base 10, the paper's estimate scaler, and a nearest-family reader.
-    /// Directed modes reshape the rounding interval itself, so the Grisu
-    /// interval arithmetic does not apply to them.
-    fn fast_path_eligible(&self) -> bool {
+    /// Whether the shortest tier serves this configuration for format `F`
+    /// (base 10, the paper's estimate scaler, a format within the `f64`
+    /// range), rounding mode aside: that check is
+    /// [`free::nearest_inclusivity`], since directed modes reshape the
+    /// rounding interval itself and stay on the exact engine.
+    fn tier_eligible<F: FloatFormat>(&self) -> bool {
         self.fast_path
             && self.base == 10
             && self.strategy == ScalingStrategy::Estimate
-            && matches!(
-                self.rounding,
-                RoundingMode::NearestEven
-                    | RoundingMode::NearestAwayFromZero
-                    | RoundingMode::NearestTowardZero
-                    | RoundingMode::Conservative
-            )
+            && shortest::covers::<F>()
     }
 
-    /// Attempts the Grisu-style fixed-precision fast path: returns `true`
-    /// and writes the full formatted value (sign, digits, layout) when the
-    /// fast path *proves* its digits match the exact engine's, `false` with
-    /// `sink` untouched when the value must go through the exact engine.
-    /// Specials (`NaN`, infinities, zeros) are always written directly.
+    /// Writes `v` through the shortest tier: returns `true` with the full
+    /// formatted value (sign, digits, layout) in `sink`, or `false` with
+    /// `sink` untouched when the configuration is not one the tier serves
+    /// (see [`FreeFormat::write_to`] for the exact engine). For an eligible
+    /// configuration — base 10, [`ScalingStrategy::Estimate`], a
+    /// nearest-family [`RoundingMode`], `f64` or a narrower format — it
+    /// answers every value, with the exact engine's bytes. Specials (`NaN`,
+    /// infinities, zeros) are always written directly.
     ///
     /// [`FreeFormat::write_to`] already calls this internally; it is public
-    /// so bulk drivers can order their own pipelines (e.g. fast path before
-    /// a cache probe) and so benchmarks can measure acceptance directly.
+    /// so benchmarks can time the tier on its own.
     ///
     /// # Panics
     ///
@@ -392,36 +389,28 @@ impl FreeFormat {
             sink.push_slice(s.as_bytes());
             return true;
         }
-        if !self.fast_path_eligible() {
+        if !self.tier_eligible::<F>() {
             return false;
         }
         let (negative, mantissa, exponent) = decoded.finite_parts().expect("finite");
-        let narrow = mantissa == 1 << (F::PRECISION - 1) && exponent > F::MIN_EXP;
-        ctx.ws.digits.clear();
-        let Some(k) = fastpath::try_shortest_into(mantissa, exponent, narrow, &mut ctx.ws.digits)
-        else {
-            fpp_telemetry::record_fastpath(false);
+        let Some(inc) = free::nearest_inclusivity(self.rounding, mantissa.is_multiple_of(2)) else {
             return false;
         };
+        let narrow = mantissa == 1 << (F::PRECISION - 1) && exponent > F::MIN_EXP;
+        let (f, e) = shortest::shortest(mantissa, exponent, narrow, inc, self.tie);
         fpp_telemetry::record_fastpath(true);
         if negative {
             sink.push(b'-');
         }
-        render_into(
-            sink,
-            &ctx.ws.digits,
-            k,
-            self.notation,
-            self.base,
-            &self.style,
-        );
+        notation::render_decimal_into(sink, f, e, self.notation, &self.style);
         true
     }
 
     /// Writes the formatted value into `sink`, reusing `ctx`'s buffers —
     /// byte-identical to [`FreeFormat::format_float`], without allocating
-    /// once the context is warm. Tries the fast path first (unless disabled
-    /// via [`FreeFormat::fast_path`]), then the exact engine.
+    /// once the context is warm. Eligible configurations go through the
+    /// shortest tier (unless disabled via [`FreeFormat::fast_path`]); every
+    /// other one runs the exact Burger–Dybvig engine.
     ///
     /// # Panics
     ///
@@ -431,6 +420,7 @@ impl FreeFormat {
             return;
         }
         let (negative, mantissa, exponent) = v.decode().finite_parts().expect("finite");
+        fpp_telemetry::record_fastpath(false);
         if negative {
             sink.push(b'-');
         }

@@ -8,13 +8,17 @@
 //!
 //! The engine is sink-based: [`render_into`] and [`render_fixed_into`] write
 //! bytes straight into any [`DigitSink`] without intermediate strings, so a
-//! conversion into a stack buffer allocates nothing. The `String`-returning
-//! functions ([`render_styled`] and friends) are thin wrappers collecting
-//! into a `Vec<u8>`.
+//! conversion into a stack buffer allocates nothing. One layout engine
+//! serves every caller and emits runs through [`DigitSink::push_slice`]:
+//! digit values are mapped to characters a chunk at a time, and the
+//! shortest tier hands it ASCII written straight from a `u64` significand.
+//! The `String`-returning functions ([`render_styled`] and friends) are thin
+//! wrappers collecting into a `Vec<u8>`.
 
 use crate::fixed::FixedDigits;
 use crate::generate::Digits;
 use crate::sink::DigitSink;
+use std::ops::Range;
 
 const DIGIT_CHARS: &[u8] = b"0123456789abcdefghijklmnopqrstuvwxyz";
 
@@ -182,11 +186,53 @@ pub fn render_into(
     base: u64,
     opts: &RenderOptions,
 ) {
-    if notation.is_positional(k) {
-        positional_into(sink, digits, k, 0, true, opts);
-    } else {
-        scientific_into(sink, digits, k, 0, true, base, opts);
+    layout_into(sink, &Values(digits), k, 0, true, notation, base, opts);
+}
+
+/// Renders the decimal `f × 10^e` (`f > 0`, no trailing zeros): the
+/// shortest tier's output, written as ASCII straight from the significand
+/// two digits at a time.
+pub(crate) fn render_decimal_into(
+    sink: &mut impl DigitSink,
+    f: u64,
+    e: i32,
+    notation: Notation,
+    opts: &RenderOptions,
+) {
+    let mut buf = [0u8; 20];
+    let start = write_u64(&mut buf, f);
+    let ascii = &buf[start..];
+    let k = e + ascii.len() as i32;
+    layout_into(sink, &Ascii(ascii), k, 0, true, notation, 10, opts);
+}
+
+/// `"00" "01" … "99"`: two ASCII digits per table entry.
+const DIGIT_PAIRS: &[u8; 200] = b"\
+0001020304050607080910111213141516171819\
+2021222324252627282930313233343536373839\
+4041424344454647484950515253545556575859\
+6061626364656667686970717273747576777879\
+8081828384858687888990919293949596979899";
+
+/// Writes the decimal digits of `n` right-aligned into `buf`, returning
+/// the index of the first digit.
+fn write_u64(buf: &mut [u8; 20], mut n: u64) -> usize {
+    let mut i = buf.len();
+    while n >= 100 {
+        let pair = (n % 100) as usize * 2;
+        n /= 100;
+        i -= 2;
+        buf[i..i + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
     }
+    if n >= 10 {
+        let pair = n as usize * 2;
+        i -= 2;
+        buf[i..i + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    } else {
+        i -= 1;
+        buf[i] = b'0' + n as u8;
+    }
+    i
 }
 
 /// Renders fixed-format digits (including `#` marks) with the given
@@ -233,101 +279,157 @@ pub fn render_fixed_into(
         sink.push(b'0');
         if layout.position < 0 {
             sink.push(b'.');
-            for _ in 0..(-layout.position) {
-                sink.push(b'0');
-            }
+            push_run(sink, &ZEROS, layout.position.unsigned_abs() as usize);
         }
         return;
     }
-    if notation.is_positional(layout.k) {
-        positional_into(
-            sink,
-            layout.digits,
-            layout.k,
-            layout.insignificant,
-            layout.hash_marks,
-            opts,
-        );
-    } else {
-        scientific_into(
-            sink,
-            layout.digits,
-            layout.k,
-            layout.insignificant,
-            layout.hash_marks,
-            base,
-            opts,
-        );
+    layout_into(
+        sink,
+        &Values(layout.digits),
+        layout.k,
+        layout.insignificant,
+        layout.hash_marks,
+        notation,
+        base,
+        opts,
+    );
+}
+
+/// A run of digit characters for the layout code: ASCII already, or digit
+/// values mapped to characters on the way out.
+trait DigitText {
+    /// Number of digits.
+    fn len(&self) -> usize;
+    /// Pushes the characters of the digits at `range`.
+    fn push_range(&self, sink: &mut impl DigitSink, range: Range<usize>);
+}
+
+/// Digits that are already ASCII.
+struct Ascii<'a>(&'a [u8]);
+
+impl DigitText for Ascii<'_> {
+    fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    fn push_range(&self, sink: &mut impl DigitSink, range: Range<usize>) {
+        sink.push_slice(&self.0[range]);
     }
 }
 
-/// The ASCII byte for output position `idx`: a digit, then `#`/`0` for the
-/// insignificant tail.
-fn position_byte(digits: &[u8], idx: usize, hash_marks: bool) -> u8 {
-    if idx < digits.len() {
-        DIGIT_CHARS[digits[idx] as usize]
-    } else if hash_marks {
-        b'#'
-    } else {
-        b'0'
+/// Digit values (`0..base`), mapped through [`DIGIT_CHARS`] a chunk at a
+/// time.
+struct Values<'a>(&'a [u8]);
+
+impl DigitText for Values<'_> {
+    fn len(&self) -> usize {
+        self.0.len()
     }
-}
 
-/// Pushes a (possibly multi-byte) separator character.
-fn push_char(sink: &mut impl DigitSink, c: char) {
-    let mut buf = [0u8; 4];
-    sink.push_slice(c.encode_utf8(&mut buf).as_bytes());
-}
-
-/// Pushes the decimal digits of `v`, zero-padded to at least `min_width`.
-fn push_u32_padded(sink: &mut impl DigitSink, mut v: u32, min_width: usize) {
-    let mut buf = [0u8; 10];
-    let mut i = buf.len();
-    loop {
-        i -= 1;
-        buf[i] = b'0' + (v % 10) as u8;
-        v /= 10;
-        if v == 0 {
-            break;
+    fn push_range(&self, sink: &mut impl DigitSink, range: Range<usize>) {
+        let mut buf = [0u8; 32];
+        for chunk in self.0[range].chunks(buf.len()) {
+            for (b, &d) in buf.iter_mut().zip(chunk) {
+                *b = DIGIT_CHARS[d as usize];
+            }
+            sink.push_slice(&buf[..chunk.len()]);
         }
     }
-    while buf.len() - i < min_width {
-        i -= 1;
-        buf[i] = b'0';
+}
+
+const ZEROS: [u8; 32] = [b'0'; 32];
+const HASHES: [u8; 32] = [b'#'; 32];
+
+/// Pushes `count` copies of the run's byte.
+fn push_run(sink: &mut impl DigitSink, run: &[u8; 32], mut count: usize) {
+    while count > 0 {
+        let n = count.min(run.len());
+        sink.push_slice(&run[..n]);
+        count -= n;
     }
-    sink.push_slice(&buf[i..]);
+}
+
+/// Pushes output positions `range`: digits, then the insignificant tail
+/// (`#`, or `0` without hash marks) up to `total`, then zero padding.
+fn push_positions(
+    sink: &mut impl DigitSink,
+    digits: &impl DigitText,
+    range: Range<usize>,
+    total: usize,
+    hash_marks: bool,
+) {
+    let n = digits.len();
+    if range.start < n {
+        digits.push_range(sink, range.start..range.end.min(n));
+    }
+    let tail = range.end.min(total).saturating_sub(range.start.max(n));
+    push_run(sink, if hash_marks { &HASHES } else { &ZEROS }, tail);
+    push_run(
+        sink,
+        &ZEROS,
+        range.end.saturating_sub(range.start.max(total)),
+    );
+}
+
+/// Pushes a separator character (one byte when ASCII).
+fn push_char(sink: &mut impl DigitSink, c: char) {
+    if c.is_ascii() {
+        sink.push(c as u8);
+    } else {
+        let mut buf = [0u8; 4];
+        sink.push_slice(c.encode_utf8(&mut buf).as_bytes());
+    }
 }
 
 /// Pushes the exponent field (`e5`, `E-5`, `e+05`, …) for value `exp`.
 fn push_exponent(sink: &mut impl DigitSink, marker: char, exp: i32, style: ExponentStyle) {
-    match style {
-        ExponentStyle::Minimal => {
-            sink.push(marker as u8);
-            if exp < 0 {
-                sink.push(b'-');
-            }
-            push_u32_padded(sink, exp.unsigned_abs(), 1);
-        }
-        ExponentStyle::Uppercase => {
-            sink.push(marker.to_ascii_uppercase() as u8);
-            if exp < 0 {
-                sink.push(b'-');
-            }
-            push_u32_padded(sink, exp.unsigned_abs(), 1);
-        }
-        ExponentStyle::PrintfSigned => {
-            sink.push(marker as u8);
-            sink.push(if exp < 0 { b'-' } else { b'+' });
-            push_u32_padded(sink, exp.unsigned_abs(), 2);
-        }
+    let mut buf = [0u8; 20];
+    let mut i = write_u64(&mut buf, u64::from(exp.unsigned_abs()));
+    if style == ExponentStyle::PrintfSigned && buf.len() - i < 2 {
+        i -= 1;
+        buf[i] = b'0';
+    }
+    if exp < 0 {
+        i -= 1;
+        buf[i] = b'-';
+    } else if style == ExponentStyle::PrintfSigned {
+        i -= 1;
+        buf[i] = b'+';
+    }
+    i -= 1;
+    buf[i] = if style == ExponentStyle::Uppercase {
+        marker.to_ascii_uppercase() as u8
+    } else {
+        marker as u8
+    };
+    sink.push_slice(&buf[i..]);
+}
+
+/// Lays out `0.d₁d₂… × Bᵏ` followed by `hashes` insignificant positions,
+/// positionally or scientifically as `notation` picks for `k`.
+#[allow(clippy::too_many_arguments)]
+fn layout_into(
+    sink: &mut impl DigitSink,
+    digits: &impl DigitText,
+    k: i32,
+    hashes: usize,
+    hash_marks: bool,
+    notation: Notation,
+    base: u64,
+    opts: &RenderOptions,
+) {
+    if notation.is_positional(k) {
+        positional_into(sink, digits, k, hashes, hash_marks, opts);
+    } else {
+        scientific_into(sink, digits, k, hashes, hash_marks, base, opts);
     }
 }
 
-/// Positional layout of `0.d₁d₂… × Bᵏ` followed by `hashes` insignificant
-/// marks, with grouping and separator styling applied on the fly.
+/// Positional layout, with grouping and separator styling applied on the
+/// fly.
 fn positional_into(
     sink: &mut impl DigitSink,
-    digits: &[u8],
+    digits: &impl DigitText,
     k: i32,
     hashes: usize,
     hash_marks: bool,
@@ -338,43 +440,44 @@ fn positional_into(
         // Integer part is the single digit 0 (never grouped).
         sink.push(b'0');
         push_char(sink, opts.decimal_separator);
-        for _ in 0..(-k) {
-            sink.push(b'0');
-        }
-        for i in 0..total {
-            sink.push(position_byte(digits, i, hash_marks));
-        }
-    } else {
-        // Integer part spans positions 0..k, padded with zeros past the
-        // generated digits; grouping counts every integer position,
-        // padding included.
-        let int_len = k as usize;
-        for i in 0..int_len {
-            if i > 0 && (int_len - i).is_multiple_of(3) {
-                if let Some(sep) = opts.group_separator {
-                    push_char(sink, sep);
+        push_run(sink, &ZEROS, k.unsigned_abs() as usize);
+        push_positions(sink, digits, 0..total, total, hash_marks);
+        return;
+    }
+    // Integer part spans positions 0..k, padded with zeros past the
+    // generated digits; grouping counts every integer position, padding
+    // included.
+    let int_len = k as usize;
+    match opts.group_separator {
+        None => push_positions(sink, digits, 0..int_len, total, hash_marks),
+        Some(sep) => {
+            let mut start = 0;
+            let mut end = match int_len % 3 {
+                0 => 3,
+                r => r,
+            };
+            loop {
+                push_positions(sink, digits, start..end, total, hash_marks);
+                if end == int_len {
+                    break;
                 }
-            }
-            sink.push(if i < total {
-                position_byte(digits, i, hash_marks)
-            } else {
-                b'0'
-            });
-        }
-        if int_len < total {
-            push_char(sink, opts.decimal_separator);
-            for i in int_len..total {
-                sink.push(position_byte(digits, i, hash_marks));
+                push_char(sink, sep);
+                start = end;
+                end += 3;
             }
         }
     }
+    if int_len < total {
+        push_char(sink, opts.decimal_separator);
+        push_positions(sink, digits, int_len..total, total, hash_marks);
+    }
 }
 
-/// Scientific layout `d₁.d₂…e(k−1)` followed by insignificant marks inside
-/// the fraction when present.
+/// Scientific layout `d₁.d₂…e(k−1)`, with insignificant marks inside the
+/// fraction when present.
 fn scientific_into(
     sink: &mut impl DigitSink,
-    digits: &[u8],
+    digits: &impl DigitText,
     k: i32,
     hashes: usize,
     hash_marks: bool,
@@ -382,12 +485,10 @@ fn scientific_into(
     opts: &RenderOptions,
 ) {
     let total = digits.len() + hashes;
-    sink.push(position_byte(digits, 0, hash_marks));
+    push_positions(sink, digits, 0..1, total, hash_marks);
     if total > 1 {
         push_char(sink, opts.decimal_separator);
-        for i in 1..total {
-            sink.push(position_byte(digits, i, hash_marks));
-        }
+        push_positions(sink, digits, 1..total, total, hash_marks);
     }
     push_exponent(sink, exponent_marker(base), k - 1, opts.exponent_style);
 }
@@ -529,6 +630,24 @@ mod tests {
             position: -3,
         };
         assert_eq!(render_fixed(&fd, Notation::Positional), "0.000");
+    }
+
+    #[test]
+    fn two_digit_writer_matches_std() {
+        let mut buf = [0u8; 20];
+        for n in [0, 7, 9, 10, 99, 100, 101, 12_345, 10u64.pow(17), u64::MAX] {
+            let start = write_u64(&mut buf, n);
+            assert_eq!(&buf[start..], n.to_string().as_bytes());
+        }
+        let mut out = Vec::new();
+        render_decimal_into(
+            &mut out,
+            15,
+            -1,
+            Notation::default(),
+            &RenderOptions::default(),
+        );
+        assert_eq!(out, b"1.5");
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Output sinks: where rendered characters go.
 //!
-//! The conversion pipeline emits text one byte (or one UTF-8 fragment) at a
-//! time; [`DigitSink`] abstracts the destination so the same rendering code
+//! The conversion pipeline emits text as short runs of bytes (digit runs,
+//! separators, the exponent field); [`DigitSink`] abstracts the destination so the same rendering code
 //! serves heap strings, caller-provided stack buffers and [`core::fmt`]
 //! writers. The bundled implementations:
 //!
@@ -16,8 +16,9 @@
 ///
 /// Implementations receive ASCII via [`push`](DigitSink::push) and
 /// well-formed UTF-8 runs via [`push_slice`](DigitSink::push_slice) (the
-/// renderer uses slices only for complete encoded characters, such as
-/// multi-byte group separators), so text-based sinks can decode safely.
+/// renderer only ever pushes runs of complete encoded characters: digit
+/// runs, separators, the exponent field), so text-based sinks can decode
+/// safely.
 pub trait DigitSink {
     /// Appends one ASCII byte.
     fn push(&mut self, byte: u8);
@@ -161,8 +162,9 @@ impl<W: std::fmt::Write> FmtSink<W> {
 /// [`finish`](IoSink::finish) rather than unwinding mid-render; after an
 /// error, further output is discarded.
 ///
-/// Wrap files in a [`std::io::BufWriter`]: the renderer pushes bytes one at
-/// a time.
+/// Wrap files in a [`std::io::BufWriter`]: the renderer pushes a few short
+/// runs per value (digits, separator, exponent), and each becomes one
+/// `write_all` call.
 ///
 /// ```
 /// use fpp_core::{write_shortest, DtoaContext, IoSink};

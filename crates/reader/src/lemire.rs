@@ -2,24 +2,21 @@
 //! one (sometimes two) 64×128-bit truncated multiplications against a
 //! cached table of 128-bit power-of-five significands.
 //!
-//! This is the reading-side analogue of the printing fast path in
-//! `fpp-core/src/fastpath.rs` (Lemire, *Number Parsing at a Gigabyte per
-//! Second*, SPE 2021): approximate the product of the decimal coefficient
+//! Lemire, *Number Parsing at a Gigabyte per Second* (SPE 2021):
+//! approximate the product of the decimal coefficient
 //! with a 128-bit significand of `10^q`, prove from the truncated bits that
 //! rounding cannot be affected by the discarded tail, and otherwise
 //! **reject** — the caller falls back to the exact big-integer reader, so
 //! the composed routine is correctly rounded by construction.
 //!
-//! Like the printing table, the power-of-five table here is not a baked-in
-//! constant blob: it is generated at first use from the in-repo
-//! [`fpp_bignum::Nat`] exponentiation (floor-truncated for `q ≥ 0`,
-//! ceiling for `q < 0`, exactly the convention the uncertainty analysis in
-//! DESIGN.md §13 assumes) and cross-checked against exact big-integer
-//! interval arithmetic by a unit test.
+//! The power-of-five table is the one [`fpp_bignum::pow5`] shares with the
+//! printer's shortest tier: generated at first use from exact big-integer
+//! exponentiation (floor-truncated for `q ≥ 0`, ceiling for `q < 0`,
+//! exactly the convention the uncertainty analysis in DESIGN.md §13
+//! assumes) and cross-checked against exact interval arithmetic there.
 
-use fpp_bignum::Nat;
+use fpp_bignum::pow5;
 use fpp_float::FloatFormat;
-use std::sync::LazyLock;
 
 /// Smallest decimal exponent in the cached table: below `10^-342` even a
 /// coefficient of `u64::MAX` (< 1.85×10^19) is under half the smallest
@@ -93,57 +90,11 @@ fn from_biased<F: FloatFormat>(mantissa: u64, biased_exponent: i32) -> F {
     F::encode(false, mantissa, exponent)
 }
 
-/// One 128-bit power-of-five significand, normalized to `[2^127, 2^128)`:
-/// `5^q ≈ (hi·2^64 + lo) × 2^(⌊q·log2 5⌋ − 127)`.
-struct Pow5 {
-    hi: u64,
-    lo: u64,
-}
-
-/// The cached table for `q ∈ -342..=308`, generated from exact bignum
-/// exponentiation at first use (~10 KiB). Truncation direction matters and
-/// is part of the correctness argument: entries for `q ≥ 0` are
-/// floor-truncated, entries for `q < 0` are ceilings (`5^m` is odd, so the
-/// reciprocal is never exact and the ceiling is always an upper bound).
-static POWERS_OF_FIVE: LazyLock<Vec<Pow5>> = LazyLock::new(|| {
-    (SMALLEST_POWER_OF_TEN..=LARGEST_POWER_OF_TEN)
-        .map(pow5_significand)
-        .collect()
-});
-
-/// Computes one table entry exactly with [`Nat`] arithmetic.
-fn pow5_significand(q: i32) -> Pow5 {
-    let value = if q >= 0 {
-        let p = Nat::u64_pow(5, u32::try_from(q).expect("q >= 0"));
-        let bits = p.bit_len();
-        if bits <= 128 {
-            &p << u32::try_from(128 - bits).expect("small shift")
-        } else {
-            &p >> u32::try_from(bits - 128).expect("small shift")
-        }
-    } else {
-        // ⌈2^(b+127) / 5^m⌉ where b = bit length of 5^m: the quotient of a
-        // number in [2^127·5^m, 2^128·5^m) by 5^m, hence 128 bits.
-        let den = Nat::u64_pow(5, u32::try_from(-q).expect("q < 0"));
-        let num = &Nat::one() << u32::try_from(den.bit_len() + 127).expect("shift fits");
-        let (mut quot, rem) = num.div_rem(&den);
-        debug_assert!(!rem.is_zero(), "5^m never divides a power of two");
-        quot.add_u64(1);
-        quot
-    };
-    debug_assert_eq!(value.bit_len(), 128, "normalized to [2^127, 2^128)");
-    let limbs = value.limbs();
-    Pow5 {
-        hi: limbs[1],
-        lo: limbs[0],
-    }
-}
-
 /// `⌊q·log2 10⌋ + 63` for `q` in the table range — the binary magnitude
-/// bookkeeping of the product (verified against bignum bit lengths by a
-/// unit test).
+/// bookkeeping of the product (the integer logarithm is checked against
+/// exact powers in `fpp_bignum::pow5`).
 fn power(q: i32) -> i32 {
-    ((q as i64 * (152_170 + 65_536)) >> 16) as i32 + 63
+    pow5::floor_log2_pow10(q) + 63
 }
 
 /// `a × b` as (low, high) 64-bit halves.
@@ -167,7 +118,7 @@ fn compute_product_approx(q: i32, w: u64, precision: u32) -> (u64, u64) {
     } else {
         u64::MAX
     };
-    let entry = &POWERS_OF_FIVE[(q - SMALLEST_POWER_OF_TEN) as usize];
+    let entry = pow5::entry(q);
     let (mut first_lo, mut first_hi) = full_multiplication(w, entry.hi);
     if first_hi & mask == mask {
         let (_, second_hi) = full_multiplication(w, entry.lo);
@@ -279,60 +230,6 @@ pub fn eisel_lemire_f32(digits: u64, exponent: i64) -> Option<f32> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// The provenance check, mirroring `fastpath.rs`'s cached-power test on
-    /// the printing side: every generated 128-bit entry brackets the true
-    /// `5^q` from the correct side, proven in exact integer arithmetic.
-    ///
-    /// With `M = hi·2^64 + lo` and `b` the bit length of `5^|q|`:
-    /// - `q ≥ 0`: `M·2^(b−128) ≤ 5^q < (M+1)·2^(b−128)` (floor),
-    /// - `q < 0`: `(M−1)·5^m < 2^(b+127) ≤ M·5^m` (ceiling, `m = −q`).
-    #[test]
-    fn cached_powers_match_bignum_exponentiation() {
-        for q in SMALLEST_POWER_OF_TEN..=LARGEST_POWER_OF_TEN {
-            let entry = &POWERS_OF_FIVE[(q - SMALLEST_POWER_OF_TEN) as usize];
-            assert!(entry.hi >> 63 == 1, "5^{q}: significand not normalized");
-            let m = Nat::from_limbs(vec![entry.lo, entry.hi]);
-            let p = Nat::u64_pow(5, u32::try_from(q.abs()).expect("|q| fits"));
-            let b = p.bit_len();
-            if q >= 0 {
-                if b <= 128 {
-                    // Powers up to 5^55 fit in 128 bits: exact after shift.
-                    let scaled = &p << u32::try_from(128 - b).expect("shift");
-                    assert_eq!(m, scaled, "5^{q}: small powers are exact");
-                } else {
-                    // Floor truncation: M·2^(b−128) ≤ 5^q < (M+1)·2^(b−128).
-                    let shift = u32::try_from(b - 128).expect("shift");
-                    assert!(&m << shift <= p, "5^{q}: floor lower bound");
-                    let mut m1 = m.clone();
-                    m1.add_u64(1);
-                    assert!(p < &m1 << shift, "5^{q}: floor upper bound");
-                }
-            } else {
-                // Ceiling: (M−1)·5^m < 2^(b+127) ≤ M·5^m.
-                let pow2 = &Nat::one() << u32::try_from(b + 127).expect("shift");
-                let upper = &m * &p;
-                assert!(pow2 <= upper, "5^{q}: ceiling lower bound");
-                let mut m_minus = m.clone();
-                m_minus.sub_u64(1);
-                let lower = &m_minus * &p;
-                assert!(lower < pow2, "5^{q}: ceiling upper bound");
-            }
-            // The magic-constant exponent estimator agrees with the exact
-            // bit length: ⌊q·log2 10⌋ = ⌊q·log2 5⌋ + q, and 5^q ∈
-            // [2^(b−1), 2^b) pins ⌊q·log2 5⌋ to b−1 (or −b for q < 0).
-            let floor_log2_pow5 = if q >= 0 {
-                i32::try_from(b).expect("fits") - 1
-            } else {
-                -i32::try_from(b).expect("fits")
-            };
-            assert_eq!(
-                power(q),
-                floor_log2_pow5 + q + 63,
-                "5^{q}: exponent estimator"
-            );
-        }
-    }
 
     #[test]
     fn known_values_round_correctly() {

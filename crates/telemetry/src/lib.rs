@@ -3,8 +3,8 @@
 //! The paper's entire evaluation is built on counting what the algorithm
 //! does — digit lengths (§5), scale fixups (§3.2, Table 2), loop iterations.
 //! This crate makes those same distributions observable in a *production*
-//! pipeline: the digit loop, the scaling estimator, the bignum scratch
-//! arena, the batch memo and sharder, and the reader all report into one
+//! pipeline: the shortest tier, the digit loop, the scaling estimator, the
+//! bignum scratch arena, the batch sharder, and the reader all report into one
 //! process-wide set of counters, fixed-bucket histograms and high-water
 //! gauges.
 //!
@@ -117,11 +117,12 @@ metric_enum! {
         /// Violations of the §3.2 contract observed by the digit loop
         /// (estimate off by more than one). Must stay 0.
         CoreScaleViolations => "core_scale_violations",
-        /// Conversions answered entirely by the Grisu-style fixed-precision
-        /// fast path (no big-integer work).
+        /// Free-format conversions answered by the shortest tier (no
+        /// big-integer work).
         CoreFastPathHits => "core_fastpath_hits",
-        /// Fast-path attempts rejected as uncertain, falling back to the
-        /// exact Burger–Dybvig engine.
+        /// Free-format conversions of finite values that ran the exact
+        /// Burger–Dybvig engine instead: configurations the tier does not
+        /// serve (other bases, directed modes, `fast_path(false)`).
         CoreFastPathFallbacks => "core_fastpath_fallbacks",
         /// Buffers handed out by the scratch arena.
         ScratchTakes => "scratch_takes",
@@ -131,16 +132,6 @@ metric_enum! {
         /// the steady-state-allocation warning signal (non-zero after
         /// warm-up means the zero-alloc guarantee is at risk).
         ScratchPoolMisses => "scratch_pool_misses",
-        /// Batch memo lookups answered from the memo.
-        BatchMemoHits => "batch_memo_hits",
-        /// Batch memo lookups that fell through to the pipeline.
-        BatchMemoMisses => "batch_memo_misses",
-        /// Memo inserts that overwrote a live entry of a different key
-        /// (direct-mapped collision evictions).
-        BatchMemoEvictions => "batch_memo_evictions",
-        /// Memo probes skipped by the adaptive guard while probing was
-        /// suspended for a persistently low observed hit rate.
-        BatchMemoSkipped => "batch_memo_skipped",
         /// Serial (single-context) batch conversions.
         BatchSerialBatches => "batch_serial_batches",
         /// Sharded batch conversions.
@@ -457,9 +448,9 @@ pub fn record_scale_violation() {
     imp::add(Counter::CoreScaleViolations, 1);
 }
 
-/// Records one scalar fast-path attempt on a finite value: `hit` is true
-/// when the Grisu-style fast path produced the digits itself, false when it
-/// rejected the value as uncertain and the exact engine ran instead.
+/// Records one free-format conversion of a finite value: `hit` is true
+/// when the shortest tier answered it, false when the configuration sent
+/// it to the exact engine.
 #[inline(always)]
 pub fn record_fastpath(hit: bool) {
     imp::add(
@@ -490,32 +481,6 @@ pub fn record_scratch_put(pool_len: usize, limb_capacity: usize) {
     imp::add(Counter::ScratchPuts, 1);
     imp::gauge_max(Gauge::ScratchPoolHwm, pool_len as u64);
     imp::gauge_max(Gauge::ScratchLimbsHwm, limb_capacity as u64);
-}
-
-/// Records one batch-memo lookup.
-#[inline(always)]
-pub fn record_memo_lookup(hit: bool) {
-    imp::add(
-        if hit {
-            Counter::BatchMemoHits
-        } else {
-            Counter::BatchMemoMisses
-        },
-        1,
-    );
-}
-
-/// Records a batch-memo insert that evicted a live entry of another key.
-#[inline(always)]
-pub fn record_memo_eviction() {
-    imp::add(Counter::BatchMemoEvictions, 1);
-}
-
-/// Records a memo probe skipped by the adaptive guard (probing suspended
-/// after a persistently low hit rate; neither a hit nor a miss).
-#[inline(always)]
-pub fn record_memo_skip() {
-    imp::add(Counter::BatchMemoSkipped, 1);
 }
 
 /// Records one serial batch conversion.
@@ -667,17 +632,8 @@ impl TelemetrySnapshot {
         self.gauges[g as usize]
     }
 
-    /// Memo hit fraction in `[0, 1]` (0 when no lookups happened).
-    #[must_use]
-    pub fn memo_hit_rate(&self) -> f64 {
-        ratio(
-            self.get(Counter::BatchMemoHits),
-            self.get(Counter::BatchMemoHits) + self.get(Counter::BatchMemoMisses),
-        )
-    }
-
-    /// Fraction of scalar fast-path attempts the fast path answered itself
-    /// (0 when no attempts were recorded).
+    /// Fraction of finite free-format conversions the shortest tier
+    /// answered (0 when none were recorded).
     #[must_use]
     pub fn fastpath_hit_rate(&self) -> f64 {
         ratio(
@@ -888,16 +844,15 @@ mod tests {
     #[test]
     fn derived_rates_handle_empty_and_populated() {
         let mut snap = TelemetrySnapshot::default();
-        assert_eq!(snap.memo_hit_rate(), 0.0);
         assert_eq!(snap.fixup_rate(), 0.0);
         assert_eq!(snap.mean_digits(), 0.0);
-        snap.counters[Counter::BatchMemoHits as usize] = 3;
-        snap.counters[Counter::BatchMemoMisses as usize] = 1;
+        snap.counters[Counter::CoreFastPathHits as usize] = 3;
+        snap.counters[Counter::CoreFastPathFallbacks as usize] = 1;
         snap.counters[Counter::CoreScaleFixups as usize] = 1;
         snap.counters[Counter::CoreScaleExact as usize] = 3;
         snap.counters[Counter::CoreDigitsEmitted as usize] = 34;
         snap.counters[Counter::CoreConversions as usize] = 2;
-        assert!((snap.memo_hit_rate() - 0.75).abs() < 1e-12);
+        assert!((snap.fastpath_hit_rate() - 0.75).abs() < 1e-12);
         assert!((snap.fixup_rate() - 0.25).abs() < 1e-12);
         assert!((snap.mean_digits() - 17.0).abs() < 1e-12);
     }
@@ -924,8 +879,7 @@ mod tests {
                 record_scale(i % 2 == 0);
                 record_scratch_take(false);
                 record_scratch_put(4, 128);
-                record_memo_lookup(true);
-                record_memo_eviction();
+                record_fastpath(true);
                 record_shard(4096);
                 record_read(ReadPath::FastPath);
                 record_parse_batch(16);
@@ -956,9 +910,7 @@ mod tests {
             record_scratch_put(3, 64);
             std::thread::spawn(|| {
                 record_generation(17, Termination::High);
-                record_memo_lookup(true);
-                record_memo_lookup(false);
-                record_memo_eviction();
+                record_fastpath(true);
                 record_shard(5000);
                 record_read(ReadPath::Exact);
                 record_read(ReadPath::EiselLemire);
@@ -972,18 +924,17 @@ mod tests {
             // pauses included) and resumes cleanly afterwards.
             with_recording_paused(|| {
                 record_generation(9, Termination::Low);
-                with_recording_paused(|| record_memo_lookup(true));
-                record_memo_lookup(false);
+                with_recording_paused(|| record_fastpath(true));
+                record_fastpath(false);
             });
             record_fastpath(true);
             record_fastpath(false);
             let snap = TelemetrySnapshot::capture();
-            assert_eq!(snap.get(Counter::CoreFastPathHits), 1);
-            assert_eq!(snap.get(Counter::CoreFastPathFallbacks), 1);
+            assert_eq!(snap.get(Counter::CoreFastPathHits), 2);
             assert_eq!(
-                snap.get(Counter::BatchMemoMisses),
+                snap.get(Counter::CoreFastPathFallbacks),
                 1,
-                "paused lookup dropped"
+                "paused record dropped"
             );
             assert_eq!(snap.get(Counter::CoreConversions), 3);
             assert_eq!(snap.get(Counter::CoreDigitsEmitted), 39);
@@ -995,8 +946,6 @@ mod tests {
             assert_eq!(snap.get(Counter::CoreScaleExact), 1);
             assert_eq!(snap.get(Counter::ScratchPoolMisses), 1);
             assert_eq!(snap.get(Counter::ScratchTakes), 2);
-            assert_eq!(snap.get(Counter::BatchMemoHits), 1);
-            assert_eq!(snap.get(Counter::BatchMemoEvictions), 1);
             assert_eq!(snap.get(Counter::ReaderExactFallbacks), 1);
             assert_eq!(snap.get(Counter::ReaderEiselLemireHits), 1);
             assert_eq!(snap.get(Counter::ReaderReads), 2);

@@ -6,7 +6,7 @@
 //!
 //! A telemetry-shaped column (a million samples drawn from a few thousand
 //! distinct quantized readings) is formatted three ways with ONE
-//! [`BatchFormatter`] — every context, memo and arena buffer reused across
+//! [`BatchFormatter`] — every context and arena buffer reused across
 //! batches:
 //!
 //! 1. into a columnar [`BatchOutput`] arena (the analytics-engine shape),
@@ -55,9 +55,8 @@ fn main() {
         out.iter().take(3).collect::<Vec<_>>()
     );
     println!(
-        "cold batch {cold:?}, warm batch {warm:?} ({:.0} floats/s warm, memo hit rate {:.3})",
-        N as f64 / warm.as_secs_f64(),
-        formatter.memo_stats().hit_rate()
+        "cold batch {cold:?}, warm batch {warm:?} ({:.0} floats/s warm)",
+        N as f64 / warm.as_secs_f64()
     );
 
     // CSV straight to an io::Write (std::io::sink() here; swap in a

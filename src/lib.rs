@@ -51,9 +51,8 @@
 //!
 //! For whole columns of floats — CSV/JSON export, telemetry dumps — the
 //! [`batch`] engine converts slices into one contiguous arena with an
-//! offsets table, reusing a warm context per shard and short-circuiting
-//! repeated values through a digit memo. Output is byte-identical to
-//! [`print_shortest`] per value:
+//! offsets table, reusing a warm context per shard. Output is
+//! byte-identical to [`print_shortest`] per value:
 //!
 //! ```
 //! use fpp::{BatchFormatter, BatchOutput};
@@ -72,7 +71,7 @@
 //! # Observability
 //!
 //! Built with `--features telemetry`, the pipeline counts everything it
-//! does — digits per conversion, §3.2 scale fixups, memo hits, scratch-pool
+//! does — tier answers, digits per conversion, §3.2 scale fixups, scratch-pool
 //! pressure — into lock-free process-wide counters. Without the feature
 //! every probe compiles to nothing:
 //!

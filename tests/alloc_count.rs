@@ -112,9 +112,9 @@ fn sink_conversions_are_allocation_free_after_warm_up() {
         "steady-state conversions must not allocate"
     );
 
-    // Both routes through `FreeFormat` hold the same bar: the Grisu-style
-    // fast path (stack-only by construction) and the exact fallback
-    // (forced via `.fast_path(false)`), byte-identical to each other.
+    // Both routes through `FreeFormat` hold the same bar: the shortest tier
+    // (stack-only by construction) and the exact engine (forced via
+    // `.fast_path(false)`), byte-identical to each other.
     let fast = FreeFormat::new();
     let exact = FreeFormat::new().fast_path(false);
     let mut fast_buf = [0u8; 512];
@@ -138,12 +138,12 @@ fn sink_conversions_are_allocation_free_after_warm_up() {
     assert_eq!(
         after - before,
         0,
-        "warmed fast-path and exact-path conversions must not allocate"
+        "warmed shortest-tier and exact-engine conversions must not allocate"
     );
 
     // The batch engine inherits the guarantee: once a formatter and its
     // output have seen one batch of this shape, re-running the batch — the
-    // memoised serial path and the CSV/JSON serializer frontends alike —
+    // serial path and the CSV/JSON serializer frontends alike —
     // must not touch the allocator. (The sharded path is exempt: spawning
     // scoped threads allocates; its per-shard conversion state is the same
     // recycled machinery proven here.)

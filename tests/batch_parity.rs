@@ -1,7 +1,7 @@
 //! Byte-for-byte parity of the batch engine against the per-value API.
 //!
-//! Every batch path — serial, serial-with-memo under forced collisions,
-//! and sharded at several thread counts — must reproduce
+//! Every batch path — serial and sharded at several thread counts — must
+//! reproduce
 //! [`fpp::print_shortest`]'s exact bytes over the Schryer hard cases, the
 //! special-value gallery (signed zeros, subnormals, infinities, NaN), and
 //! duplicate-heavy columns. Buffer-reuse stability is asserted here too;
@@ -37,7 +37,6 @@ fn sharded_formatter(threads: usize) -> BatchFormatter {
     BatchFormatter::with_options(BatchOptions {
         threads: Some(threads),
         min_shard_len: 8,
-        ..BatchOptions::default()
     })
 }
 
@@ -59,16 +58,7 @@ fn serial_batch_matches_print_shortest_on_schryer() {
     let mut fmt = BatchFormatter::new();
     let mut out = BatchOutput::new();
     fmt.format_f64s(&values, &mut out);
-    assert_parity(&values, &out, "serial+memo");
-
-    let mut nocache = BatchFormatter::with_options(BatchOptions {
-        memo_capacity: 0,
-        ..BatchOptions::default()
-    });
-    let mut out_nc = BatchOutput::new();
-    nocache.format_f64s(&values, &mut out_nc);
-    assert_eq!(out.arena(), out_nc.arena(), "memo must not change bytes");
-    assert_eq!(out.offsets(), out_nc.offsets());
+    assert_parity(&values, &out, "serial");
 }
 
 #[test]
@@ -101,9 +91,9 @@ fn special_values_follow_the_per_value_policy() {
     fmt.format_f64s(&values, &mut out);
     assert_parity(&values, &out, "specials serial");
 
-    // Twice, so the second pass exercises memo hits for every special.
+    // Twice, so the second pass runs on the reused buffers.
     fmt.format_f64s(&values, &mut out);
-    assert_parity(&values, &out, "specials memoised");
+    assert_parity(&values, &out, "specials reused");
 
     let mut sharded = sharded_formatter(3);
     let mut out_sh = BatchOutput::new();
@@ -112,31 +102,14 @@ fn special_values_follow_the_per_value_policy() {
 }
 
 #[test]
-fn duplicate_heavy_columns_survive_forced_memo_collisions() {
-    // 40 distinct values hammered through a 16-slot memo: constant
-    // eviction, every hit must still be exact.
+fn duplicate_heavy_columns_match_print_shortest() {
+    // 40 distinct values repeated through a 20,000-value column.
     let pool: Vec<f64> = SchryerSet::new().iter().step_by(977).take(40).collect();
     let values: Vec<f64> = (0..20_000).map(|i| pool[(i * 7 + i / 13) % 40]).collect();
-    // Fast path off: this test pins memo mechanics, and with it on the
-    // accepted values would never reach the memo at all.
-    let mut fmt = BatchFormatter::with_options(BatchOptions {
-        memo_capacity: 16,
-        fast_path: false,
-        ..BatchOptions::default()
-    });
+    let mut fmt = BatchFormatter::new();
     let mut out = BatchOutput::new();
     fmt.format_f64s(&values, &mut out);
-    assert_parity(&values, &out, "collision-heavy memo");
-    let stats = fmt.memo_stats();
-    assert!(stats.hits > 0, "memo saw hits: {stats:?}");
-    assert!(
-        stats.evictions > 0,
-        "forced collisions must report evictions: {stats:?}"
-    );
-    assert!(
-        stats.evictions <= stats.misses,
-        "every eviction follows a missed lookup: {stats:?}"
-    );
+    assert_parity(&values, &out, "duplicate-heavy");
 }
 
 #[test]

@@ -1,12 +1,15 @@
-//! Byte-for-byte parity of the Grisu-style fast path against the exact
+//! Byte-for-byte parity of the shortest tier against the exact
 //! Burger–Dybvig engine.
 //!
-//! The fast path is *correct by rejection*: it only answers when its
-//! 64-bit error analysis proves the digits are both inside the rounding
-//! interval and uniquely closest, so a divergence from the exact engine on
-//! any input is a hard bug, not a tolerance question. These tests compare
-//! the default (fast-enabled) [`FreeFormat`] against `.fast_path(false)`
-//! over sampled, stratified, and (behind `--ignored`) exhaustive inputs.
+//! The tier is exact by construction: for every eligible configuration
+//! (base 10, the estimate scaler, a nearest-family rounding mode) it
+//! answers every finite value itself, with no fallback. So each check here
+//! asserts two things: `try_write_fast` answered, and its bytes equal
+//! `FreeFormat::fast_path(false)`'s, which runs the exact engine alone. The
+//! inputs are sampled, stratified over the tier's hazards (ties, exact
+//! endpoint hits, subnormals, binade edges), exhaustive over the 16-bit
+//! formats, and — behind `--ignored` — ten million `f64`s and every
+//! positive `f32`.
 //!
 //! ```bash
 //! cargo test --release --test fastpath_parity
@@ -14,54 +17,73 @@
 //! cargo test --release --test fastpath_parity -- --ignored exhaustive
 //! ```
 
-use fpp::core::FreeFormat;
-use fpp::float::RoundingMode;
+use fpp::core::{FreeFormat, TieBreak};
+use fpp::float::{Bf16, FloatFormat, RoundingMode, F16};
 use fpp::testgen::prng::Xoshiro256pp;
 use fpp::testgen::{log_uniform_doubles, uniform_bit_doubles, SchryerSet};
 use fpp::{DtoaContext, SliceSink};
+use std::fmt::Debug;
 
 /// Comfortably larger than any shortest-form rendering.
 const BUF: usize = 64;
 
-/// Renders `v` through both formatters and asserts byte equality,
-/// reporting the offending bit pattern on failure.
-fn check_f64(ctx: &mut DtoaContext, fast: &FreeFormat, exact: &FreeFormat, v: f64) {
-    let mut fbuf = [0u8; BUF];
-    let mut ebuf = [0u8; BUF];
-    let mut fsink = SliceSink::new(&mut fbuf);
-    fast.write_to(ctx, &mut fsink, v);
-    let flen = fsink.written();
-    let mut esink = SliceSink::new(&mut ebuf);
-    exact.write_to(ctx, &mut esink, v);
-    let elen = esink.written();
-    assert_eq!(
-        std::str::from_utf8(&fbuf[..flen]).unwrap(),
-        std::str::from_utf8(&ebuf[..elen]).unwrap(),
-        "fast/exact divergence on {v:?} (bits {:#018x})",
-        v.to_bits()
-    );
+/// The four rounding modes the tier serves.
+const NEAREST_MODES: [RoundingMode; 4] = [
+    RoundingMode::NearestEven,
+    RoundingMode::NearestAwayFromZero,
+    RoundingMode::NearestTowardZero,
+    RoundingMode::Conservative,
+];
+
+const TIE_BREAKS: [TieBreak; 3] = [TieBreak::Up, TieBreak::Down, TieBreak::Even];
+
+/// The tier and the exact engine under one configuration.
+struct Pair {
+    fast: FreeFormat,
+    exact: FreeFormat,
 }
 
-/// The f32 flavour of [`check_f64`].
-fn check_f32(ctx: &mut DtoaContext, fast: &FreeFormat, exact: &FreeFormat, v: f32) {
-    let mut fbuf = [0u8; BUF];
-    let mut ebuf = [0u8; BUF];
-    let mut fsink = SliceSink::new(&mut fbuf);
-    fast.write_to(ctx, &mut fsink, v);
-    let flen = fsink.written();
-    let mut esink = SliceSink::new(&mut ebuf);
-    exact.write_to(ctx, &mut esink, v);
-    let elen = esink.written();
-    assert_eq!(
-        std::str::from_utf8(&fbuf[..flen]).unwrap(),
-        std::str::from_utf8(&ebuf[..elen]).unwrap(),
-        "fast/exact divergence on {v:?} (bits {:#010x})",
-        v.to_bits()
-    );
+impl Pair {
+    fn new(mode: RoundingMode, tie: TieBreak) -> Self {
+        let fast = FreeFormat::new().rounding(mode).tie_break(tie);
+        let exact = fast.clone().fast_path(false);
+        Pair { fast, exact }
+    }
+
+    fn default_recipe() -> Self {
+        Pair::new(RoundingMode::NearestEven, TieBreak::Up)
+    }
+
+    /// Asserts that the tier answers `v` and that its bytes equal the
+    /// exact engine's, reporting the value on failure.
+    fn check<F: FloatFormat + Debug>(&self, ctx: &mut DtoaContext, v: F) {
+        let mut fbuf = [0u8; BUF];
+        let mut fsink = SliceSink::new(&mut fbuf);
+        assert!(
+            self.fast.try_write_fast(ctx, &mut fsink, v),
+            "the tier declined {v:?} under {:?}",
+            self.fast
+        );
+        let mut ebuf = [0u8; BUF];
+        let mut esink = SliceSink::new(&mut ebuf);
+        self.exact.write_to(ctx, &mut esink, v);
+        assert_eq!(
+            fsink.as_str(),
+            esink.as_str(),
+            "tier/exact divergence on {v:?} under {:?}",
+            self.fast
+        );
+    }
+
+    /// [`Pair::check`], returning the text.
+    fn text(&self, ctx: &mut DtoaContext, v: f64) -> String {
+        self.check(ctx, v);
+        self.fast.format(v)
+    }
 }
 
-/// A stratified f64 column concentrating on the fast path's danger zones:
-/// exact powers of two (narrow-gap boundaries), denormals, powers of ten
+/// A stratified f64 column concentrating on the tier's hazards: exact
+/// powers of two (narrow-gap boundaries), denormals, powers of ten
 /// (decimal endpoints like 1e23), neighbors of all of the above, and the
 /// format extremes.
 fn stratified_f64s() -> Vec<f64> {
@@ -113,34 +135,31 @@ fn stratified_f64s() -> Vec<f64> {
 #[test]
 fn sampled_f64_parity() {
     let mut ctx = DtoaContext::new(10);
-    let fast = FreeFormat::new();
-    let exact = FreeFormat::new().fast_path(false);
+    let pair = Pair::default_recipe();
     for v in log_uniform_doubles(0xFA57).take(50_000) {
-        check_f64(&mut ctx, &fast, &exact, v);
+        pair.check(&mut ctx, v);
     }
     for v in uniform_bit_doubles(0xFA58).take(10_000) {
-        check_f64(&mut ctx, &fast, &exact, v);
+        pair.check(&mut ctx, v);
     }
     for v in SchryerSet::new().iter() {
-        check_f64(&mut ctx, &fast, &exact, v);
+        pair.check(&mut ctx, v);
     }
 }
 
 #[test]
 fn stratified_f64_parity() {
     let mut ctx = DtoaContext::new(10);
-    let fast = FreeFormat::new();
-    let exact = FreeFormat::new().fast_path(false);
+    let pair = Pair::default_recipe();
     for v in stratified_f64s() {
-        check_f64(&mut ctx, &fast, &exact, v);
+        pair.check(&mut ctx, v);
     }
 }
 
 #[test]
 fn sampled_f32_parity() {
     let mut ctx = DtoaContext::new(10);
-    let fast = FreeFormat::new();
-    let exact = FreeFormat::new().fast_path(false);
+    let pair = Pair::default_recipe();
     let mut rng = Xoshiro256pp::seed_from_u64(0xF32F32);
     let mut checked = 0usize;
     while checked < 50_000 {
@@ -149,49 +168,145 @@ fn sampled_f32_parity() {
         if !v.is_finite() {
             continue;
         }
-        check_f32(&mut ctx, &fast, &exact, v);
+        pair.check(&mut ctx, v);
         checked += 1;
     }
     // f32 boundary strata: powers of two and their neighbors.
     for e in -149..=127i32 {
         let v = 2f32.powi(e);
         if v.is_finite() && v > 0.0 {
-            check_f32(&mut ctx, &fast, &exact, v);
-            check_f32(&mut ctx, &fast, &exact, f32::from_bits(v.to_bits() + 1));
+            pair.check(&mut ctx, v);
+            pair.check(&mut ctx, f32::from_bits(v.to_bits() + 1));
             if v.to_bits() > 1 {
-                check_f32(&mut ctx, &fast, &exact, f32::from_bits(v.to_bits() - 1));
+                pair.check(&mut ctx, f32::from_bits(v.to_bits() - 1));
             }
         }
     }
 }
 
-/// The fast path only claims eligibility for the four nearest-family
-/// rounding modes; parity must hold under every one of them (the accepted
-/// digits are strictly inside the open interval, where all four agree).
+/// Every rounding mode the tier serves, with every tie rule: endpoint
+/// inclusion and tie resolution are where the configurations differ.
 #[test]
 fn nearest_rounding_modes_parity() {
-    let modes = [
-        RoundingMode::NearestEven,
-        RoundingMode::NearestAwayFromZero,
-        RoundingMode::NearestTowardZero,
-        RoundingMode::Conservative,
-    ];
     let mut ctx = DtoaContext::new(10);
-    for mode in modes {
-        let fast = FreeFormat::new().rounding(mode);
-        let exact = FreeFormat::new().rounding(mode).fast_path(false);
-        for v in log_uniform_doubles(0x40DE + mode as u64).take(8_000) {
-            check_f64(&mut ctx, &fast, &exact, v);
-        }
-        for v in stratified_f64s().into_iter().step_by(3) {
-            check_f64(&mut ctx, &fast, &exact, v);
+    for mode in NEAREST_MODES {
+        for tie in TIE_BREAKS {
+            let pair = Pair::new(mode, tie);
+            for v in log_uniform_doubles(0x40DE + mode as u64).take(4_000) {
+                pair.check(&mut ctx, v);
+            }
+            for v in stratified_f64s().into_iter().step_by(3) {
+                pair.check(&mut ctx, v);
+            }
         }
     }
 }
 
-/// Directed rounding modes reshape the interval, so the fast path must
-/// decline them entirely — and output still matches by construction
-/// because both formatters run the exact engine.
+/// Every positive finite `F16` and `Bf16` under all four nearest-family
+/// rounding modes and all three tie rules.
+#[test]
+fn exhaustive_half_formats_all_modes_and_ties() {
+    let mut ctx = DtoaContext::new(10);
+    for mode in NEAREST_MODES {
+        for tie in TIE_BREAKS {
+            let pair = Pair::new(mode, tie);
+            // 0x7C00 and 0x7F80 are the infinities; everything below is
+            // positive finite.
+            for bits in 1..0x7C00u16 {
+                pair.check(&mut ctx, F16::from_bits(bits));
+            }
+            for bits in 1..0x7F80u16 {
+                pair.check(&mut ctx, Bf16::from_bits(bits));
+            }
+        }
+    }
+}
+
+/// Exact ties are real for `f64`: `2^50 + j/4` with `j` odd sits exactly
+/// halfway between two 17-digit candidates, and the tie rule picks one.
+/// The column checks every rule against the exact engine and against the
+/// expected digit.
+#[test]
+fn constructed_f64_tie_column() {
+    let mut ctx = DtoaContext::new(10);
+    let mut rng = Xoshiro256pp::seed_from_u64(0x71E5);
+    // (fraction, Up, Down, Even) for the last printed digit.
+    let cases = [(0.25, '3', '2', '2'), (0.75, '8', '7', '8')];
+    let mut integers = vec![1u64 << 50, (1 << 51) - 1];
+    integers.extend((0..500).map(|_| rng.range_inclusive(1 << 50, (1 << 51) - 1)));
+    for n in integers {
+        for (frac, up, down, even) in cases {
+            let v = n as f64 + frac;
+            for (tie, digit) in [
+                (TieBreak::Up, up),
+                (TieBreak::Down, down),
+                (TieBreak::Even, even),
+            ] {
+                let text = Pair::new(RoundingMode::NearestEven, tie).text(&mut ctx, v);
+                assert_eq!(text, format!("{n}.{digit}"), "{v:?} under {tie:?}");
+            }
+        }
+    }
+    let up = FreeFormat::new();
+    let down = FreeFormat::new().tie_break(TieBreak::Down);
+    let two50 = 2f64.powi(50);
+    assert_eq!(up.format(two50 + 0.25), "1125899906842624.3");
+    assert_eq!(down.format(two50 + 0.25), "1125899906842624.2");
+}
+
+/// Hazard stratum: every subnormal `f64` with a significand below 10^5.
+/// The smallest significands print with one or two digits, where a
+/// Java-style `s >= 100` guard on the shorter candidate would print
+/// `4.9e-323` for `5e-323`.
+#[test]
+fn small_subnormal_f64_parity() {
+    let mut ctx = DtoaContext::new(10);
+    let pair = Pair::default_recipe();
+    for bits in 1..100_000u64 {
+        pair.check(&mut ctx, f64::from_bits(bits));
+    }
+    assert_eq!(FreeFormat::new().format(5e-323), "5e-323");
+    assert_eq!(FreeFormat::new().format(1e-323), "1e-323");
+}
+
+/// Hazard stratum: in `[2^53, 2^57)` the interval ends `v ± ulp/2` are
+/// integers, so they can land exactly on a shorter decimal (for example
+/// `23695218488134108 + 2 = 23695218488134110`). A round-to-odd that
+/// keeps the low product word misreads those exact hits as inexact. The
+/// column takes every power of two and ten in the range, and sampled
+/// values whose upper or lower end is a multiple of ten, each with its
+/// ±1 ulp neighbors, under every nearest-family rounding mode.
+#[test]
+fn exact_endpoint_hits_above_2_53() {
+    let mut centers: Vec<f64> = (53..57).map(|e| 2f64.powi(e)).collect();
+    centers.extend([1e16, 1e17, 23_695_218_488_134_108.0]);
+    let mut rng = Xoshiro256pp::seed_from_u64(0xE4D);
+    for e in 54..57 {
+        let ulp = 1u64 << (e - 52);
+        let half = ulp / 2;
+        for _ in 0..1_000 {
+            let mut c = rng.range_inclusive(1 << 52, (1 << 53) - 11);
+            // Walk to the next significand with an end on a multiple of 10.
+            while !(c * ulp + half).is_multiple_of(10) && !(c * ulp - half).is_multiple_of(10) {
+                c += 1;
+            }
+            centers.push((c * ulp) as f64);
+        }
+    }
+    let mut ctx = DtoaContext::new(10);
+    for mode in NEAREST_MODES {
+        let pair = Pair::new(mode, TieBreak::Up);
+        for &v in &centers {
+            for bits in [v.to_bits() - 1, v.to_bits(), v.to_bits() + 1] {
+                pair.check(&mut ctx, f64::from_bits(bits));
+            }
+        }
+    }
+}
+
+/// Directed rounding modes reshape the interval, so the tier declines
+/// them entirely — and output still matches by construction because both
+/// formatters run the exact engine.
 #[test]
 fn directed_rounding_modes_never_use_fast_path() {
     let mut ctx = DtoaContext::new(10);
@@ -201,56 +316,50 @@ fn directed_rounding_modes_never_use_fast_path() {
         let mut sink = SliceSink::new(&mut buf);
         assert!(
             !fast.try_write_fast(&mut ctx, &mut sink, 0.3f64),
-            "fast path must decline directed mode {mode:?}"
+            "the tier must decline directed mode {mode:?}"
         );
     }
 }
 
-/// `1e23` sits exactly on a rounding boundary — the canonical case the
-/// uncertainty analysis must reject rather than guess.
+/// `1e23` sits exactly on a rounding boundary: the tier answers it, with
+/// the endpoint admitted or not exactly as the rounding mode says.
 #[test]
-fn endpoint_values_are_rejected_not_guessed() {
+fn endpoint_values_are_answered_exactly() {
     let mut ctx = DtoaContext::new(10);
-    let fast = FreeFormat::new();
-    let exact = FreeFormat::new().fast_path(false);
-    let mut buf = [0u8; BUF];
-    let mut sink = SliceSink::new(&mut buf);
-    assert!(
-        !fast.try_write_fast(&mut ctx, &mut sink, 1e23f64),
-        "1e23 must fall back to the exact engine"
-    );
-    check_f64(&mut ctx, &fast, &exact, 1e23);
-    check_f64(&mut ctx, &fast, &exact, -1e23);
+    let pair = Pair::default_recipe();
+    assert_eq!(pair.text(&mut ctx, 1e23), "1e23");
+    assert_eq!(pair.text(&mut ctx, -1e23), "-1e23");
+    let away = Pair::new(RoundingMode::NearestAwayFromZero, TieBreak::Up);
+    assert_eq!(away.text(&mut ctx, 1e23), "9.999999999999999e22");
     // Specials are answered directly (they never reach the digit loops).
-    let mut sink = SliceSink::new(&mut buf);
-    assert!(fast.try_write_fast(&mut ctx, &mut sink, f64::NAN));
-    let mut sink = SliceSink::new(&mut buf);
-    assert!(fast.try_write_fast(&mut ctx, &mut sink, f64::INFINITY));
-    let mut sink = SliceSink::new(&mut buf);
-    assert!(fast.try_write_fast(&mut ctx, &mut sink, -0.0f64));
+    let mut buf = [0u8; BUF];
+    for v in [f64::NAN, f64::INFINITY, -0.0] {
+        let mut sink = SliceSink::new(&mut buf);
+        assert!(pair.fast.try_write_fast(&mut ctx, &mut sink, v));
+    }
 }
 
-/// Ten-million-sample f64 parity run (uniform + stratified). ~minutes in
-/// release mode; run explicitly with `-- --ignored ten_million`.
+/// Ten-million-sample f64 parity run (log-uniform, uniform-bit and
+/// stratified). About a minute in release mode; run explicitly with
+/// `-- --ignored ten_million`.
 #[test]
 #[ignore = "long-running; exercised by ci.sh in release mode"]
 fn f64_parity_ten_million_samples() {
     let mut ctx = DtoaContext::new(10);
-    let fast = FreeFormat::new();
-    let exact = FreeFormat::new().fast_path(false);
+    let pair = Pair::default_recipe();
     let mut checked = 0u64;
     for v in log_uniform_doubles(0x10_000_000).take(8_000_000) {
-        check_f64(&mut ctx, &fast, &exact, v);
+        pair.check(&mut ctx, v);
         checked += 1;
     }
     for v in uniform_bit_doubles(0x10_000_001).take(1_900_000) {
-        check_f64(&mut ctx, &fast, &exact, v);
+        pair.check(&mut ctx, v);
         checked += 1;
     }
-    // Stratified remainder: cycle the danger-zone column to fill the quota.
+    // Stratified remainder: cycle the hazard column to fill the quota.
     let strata = stratified_f64s();
     for v in strata.iter().cycle().take(100_000) {
-        check_f64(&mut ctx, &fast, &exact, *v);
+        pair.check(&mut ctx, *v);
         checked += 1;
     }
     assert_eq!(checked, 10_000_000);
@@ -259,28 +368,24 @@ fn f64_parity_ten_million_samples() {
 /// Every positive finite f32 — the sweep the paper's correctness claims
 /// are usually demonstrated with. Sign handling is orthogonal (the digit
 /// pipeline sees `|v|`; the sign is prepended afterwards), so sweeping the
-/// positive half covers the digit logic exhaustively.
+/// positive half covers the digit logic exhaustively. The range is split
+/// across the available cores.
 #[test]
-#[ignore = "exhaustive 2^31-ish sweep; run once per release via ci/by hand"]
+#[ignore = "exhaustive 2^31-ish sweep; run once per release by hand"]
 fn exhaustive_f32_parity_sweep() {
-    let mut ctx = DtoaContext::new(10);
-    let fast = FreeFormat::new();
-    let exact = FreeFormat::new().fast_path(false);
-    let mut fbuf = [0u8; BUF];
-    let mut ebuf = [0u8; BUF];
     // 0x7F80_0000 is +inf; everything below and above 0 is positive finite.
-    for bits in 1u32..0x7F80_0000 {
-        let v = f32::from_bits(bits);
-        let mut fsink = SliceSink::new(&mut fbuf);
-        fast.write_to(&mut ctx, &mut fsink, v);
-        let flen = fsink.written();
-        let mut esink = SliceSink::new(&mut ebuf);
-        exact.write_to(&mut ctx, &mut esink, v);
-        let elen = esink.written();
-        assert_eq!(
-            &fbuf[..flen],
-            &ebuf[..elen],
-            "fast/exact divergence at f32 bits {bits:#010x} ({v:?})"
-        );
-    }
+    const END: u32 = 0x7F80_0000;
+    let threads = std::thread::available_parallelism().map_or(1, |n| n.get()) as u32;
+    let chunk = END.div_ceil(threads);
+    std::thread::scope(|scope| {
+        for t in 0..threads {
+            scope.spawn(move || {
+                let mut ctx = DtoaContext::new(10);
+                let pair = Pair::default_recipe();
+                for bits in (t * chunk).max(1)..((t + 1) * chunk).min(END) {
+                    pair.check(&mut ctx, f32::from_bits(bits));
+                }
+            });
+        }
+    });
 }

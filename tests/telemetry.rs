@@ -1,7 +1,8 @@
 //! End-to-end checks of the live instrumentation (`--features telemetry`):
-//! the registry's view of a batch run must agree with an offline recount,
-//! with the engine's own `MemoStats`, and with the §3.2 scaling contract —
-//! and the exposition formats must stay machine-readable.
+//! the registry's view of the exact engine must agree with an offline
+//! recount and with the §3.2 scaling contract, the shortest tier must
+//! account for every value of a batch run, and the exposition formats must
+//! stay machine-readable.
 //!
 //! Everything lives in ONE `#[test]` function: the registry is
 //! process-global and the harness runs test functions concurrently, so
@@ -9,7 +10,7 @@
 //! tests. (`Cargo.toml` gates this target behind the `telemetry` feature.)
 
 use fpp::batch::{BatchFormatter, BatchOptions, BatchOutput};
-use fpp::core::{free_format_digits, ScalingStrategy, TieBreak};
+use fpp::core::{free_format_digits, DtoaContext, FreeFormat, ScalingStrategy, TieBreak};
 use fpp::float::{RoundingMode, SoftFloat};
 use fpp::telemetry::{self, Counter, TelemetrySnapshot, DIGIT_LEN_BUCKETS};
 use fpp::testgen::log_uniform_doubles;
@@ -63,33 +64,29 @@ fn assert_prometheus_parses(text: &str) {
 }
 
 #[test]
-fn live_counters_agree_with_offline_recount_and_memo_stats() {
+fn live_counters_agree_with_offline_recount() {
     // This target only exists with --features telemetry (Cargo.toml gates it).
     const { assert!(telemetry::ENABLED) };
     let n = 20_000;
     let values: Vec<f64> = log_uniform_doubles(0xBEEF).take(n).collect();
 
-    // Formatters warm up real conversions at construction — build them all
-    // before resetting the counters.
-    // Passes 1 and 2 pin exact-engine counters, so they disable the fast
-    // path; a dedicated pass below pins the fast-path counters.
-    let mut nocache = BatchFormatter::with_options(BatchOptions {
-        memo_capacity: 0,
-        fast_path: false,
-        ..BatchOptions::default()
-    });
-    let mut collide = BatchFormatter::with_options(BatchOptions {
-        memo_capacity: 16,
-        fast_path: false,
-        ..BatchOptions::default()
-    });
-    let mut fastpath_fmt = BatchFormatter::new();
+    // Contexts and formatters warm up real conversions at construction —
+    // build them all before resetting the counters.
+    let mut ctx = DtoaContext::new(10);
+    ctx.warm_up();
+    let exact = FreeFormat::new().fast_path(false);
+    let mut batch = BatchFormatter::new();
     let mut out = BatchOutput::new();
     let offline = offline_hist(&values);
 
-    // Pass 1: memo off, every value through the digit loop exactly once.
+    // Pass 1: the exact engine alone, every value through the digit loop
+    // exactly once.
     telemetry::reset();
-    nocache.format_f64s(&values, &mut out);
+    let mut text = Vec::new();
+    for &v in &values {
+        text.clear();
+        exact.write_to(&mut ctx, &mut text, v);
+    }
     let snap = TelemetrySnapshot::capture();
 
     assert_eq!(snap.get(Counter::CoreConversions), n as u64);
@@ -132,63 +129,27 @@ fn live_counters_agree_with_offline_recount_and_memo_stats() {
         snap.get(Counter::ScratchTakes) > 0,
         "scratch arena instrumentation is wired"
     );
-    assert_eq!(snap.get(Counter::BatchSerialBatches), 1);
     assert_eq!(
-        snap.get(Counter::BatchMemoHits) + snap.get(Counter::BatchMemoMisses),
+        snap.get(Counter::CoreFastPathHits),
         0,
-        "a disabled memo must not record lookups"
+        "a tier-disabled formatter must not record tier answers"
     );
     assert_eq!(
-        snap.get(Counter::CoreFastPathHits) + snap.get(Counter::CoreFastPathFallbacks),
-        0,
-        "a fast-path-disabled formatter must not record attempts"
-    );
-
-    // Pass 2: a 16-slot memo under a 40-distinct-value collision workload —
-    // registry counters must mirror the engine's own MemoStats, evictions
-    // included.
-    let pool: Vec<f64> = values.iter().copied().step_by(500).take(40).collect();
-    let column: Vec<f64> = (0..10_000).map(|i| pool[(i * 7 + i / 13) % 40]).collect();
-    telemetry::reset();
-    collide.format_f64s(&column, &mut out);
-    let snap = TelemetrySnapshot::capture();
-    let stats = collide.memo_stats();
-    assert_eq!(snap.get(Counter::BatchMemoHits), stats.hits);
-    assert_eq!(snap.get(Counter::BatchMemoMisses), stats.misses);
-    assert_eq!(snap.get(Counter::BatchMemoEvictions), stats.evictions);
-    assert!(stats.evictions > 0, "40 keys over 16 slots must evict");
-    assert!(stats.hits > 0);
-    assert!(
-        (snap.memo_hit_rate() - stats.hit_rate()).abs() < 1e-12,
-        "derived hit rates agree"
-    );
-
-    // Fast-path pass: the default formatter tries Grisu on every finite
-    // value; hits skip the memo entirely, fallbacks partition into memo
-    // hits and exact conversions.
-    telemetry::reset();
-    fastpath_fmt.format_f64s(&values, &mut out);
-    let snap = TelemetrySnapshot::capture();
-    assert_eq!(
-        snap.get(Counter::CoreFastPathHits) + snap.get(Counter::CoreFastPathFallbacks),
+        snap.get(Counter::CoreFastPathFallbacks),
         n as u64,
-        "every conversion records exactly one fast-path attempt"
+        "every exact-engine conversion records one fallback"
     );
-    assert!(
-        snap.get(Counter::CoreFastPathHits) >= (n as u64) * 9 / 10,
-        "log-uniform doubles should overwhelmingly take the fast path (got {} of {n})",
-        snap.get(Counter::CoreFastPathHits)
-    );
-    assert_eq!(
-        snap.get(Counter::CoreConversions),
-        snap.get(Counter::BatchMemoMisses),
-        "fallbacks partition into memo hits and exact conversions"
-    );
-    assert!(
-        (snap.fastpath_hit_rate() - snap.get(Counter::CoreFastPathHits) as f64 / n as f64).abs()
-            < 1e-12,
-        "derived fast-path hit rate agrees"
-    );
+
+    // Tier pass: the batch engine's recipe is answered entirely by the
+    // shortest tier; the exact engine never runs.
+    telemetry::reset();
+    batch.format_f64s(&values, &mut out);
+    let snap = TelemetrySnapshot::capture();
+    assert_eq!(snap.get(Counter::BatchSerialBatches), 1);
+    assert_eq!(snap.get(Counter::CoreFastPathHits), n as u64);
+    assert_eq!(snap.get(Counter::CoreFastPathFallbacks), 0);
+    assert_eq!(snap.get(Counter::CoreConversions), 0, "exact engine idle");
+    assert!((snap.fastpath_hit_rate() - 1.0).abs() < 1e-12);
 
     // Sharded pass: worker threads flush their blocks when the scope joins
     // them, so the aggregate sees every shard's values.
@@ -196,9 +157,9 @@ fn live_counters_agree_with_offline_recount_and_memo_stats() {
     let mut sharded = BatchFormatter::with_options(BatchOptions {
         threads: Some(3),
         min_shard_len: 8,
-        ..BatchOptions::default()
     });
     let mut sharded_out = BatchOutput::new();
+    let column: Vec<f64> = values.iter().copied().take(10_000).collect();
     sharded.format_f64s_sharded(&column, &mut sharded_out);
     let snap = TelemetrySnapshot::capture();
     assert_eq!(snap.get(Counter::BatchShardedBatches), 1);
@@ -262,8 +223,7 @@ fn live_counters_agree_with_offline_recount_and_memo_stats() {
         "\"schema_version\"",
         "\"core_conversions\"",
         "\"core_fastpath_hits\"",
-        "\"batch_memo_skipped\"",
-        "\"batch_memo_evictions\"",
+        "\"core_fastpath_fallbacks\"",
         "\"scratch_pool_hwm\"",
         "\"core_digit_len\"",
         "\"batch_shard_len_log2\"",
