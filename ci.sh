@@ -60,11 +60,16 @@ fi
 echo "== reader: parse parity + round-trip batteries (release) =="
 # The Eisel–Lemire tiers against the exact big-integer oracle and std:
 # generated literals, adversarial halfway corpus, the sampled 10M-value
-# round trip, and the fast-grammar edge cases.
+# round trip, the fast-grammar edge cases, the scanner's 8-byte and
+# 19-digit boundaries, and the seeded mutation fuzzer — plus its 2M-mutant
+# sweep (ignored by default — it needs release-mode speed).
 cargo test --release -q --test reader_differential
 cargo test --release -q --test reader_adversarial
 cargo test --release -q --test reader_roundtrip
 cargo test --release -q --test reader_edgecases
+cargo test --release -q --test reader_scanner
+cargo test --release -q --test reader_mutation
+cargo test --release -q --test reader_mutation -- --ignored
 
 echo "== reader: round-trip bench smoke + BENCH_reader.json schema =="
 cargo run -p fpp-bench --release --bin roundtrip -- --quick

@@ -67,6 +67,13 @@ impl std::error::Error for BatchParseError {
     }
 }
 
+fn entry_error(index: usize, reason: &'static str) -> BatchParseError {
+    BatchParseError {
+        index,
+        error: ParseFloatError::new(reason),
+    }
+}
+
 /// Reusable bulk parser of decimal-string columns.
 ///
 /// ```
@@ -128,13 +135,10 @@ impl BatchParser {
     ) -> Result<(), BatchParseError> {
         out.clear();
         out.resize(strings.len(), 0.0);
-        let parse_one = self.scalar_fn();
         self.run(out, strings.len(), |slot_base, slots| {
             for (j, slot) in slots.iter_mut().enumerate() {
-                *slot = parse_one(strings[slot_base + j]).map_err(|error| BatchParseError {
-                    index: slot_base + j,
-                    error,
-                })?;
+                let i = slot_base + j;
+                *slot = self.parse_entry(strings[i].as_bytes(), i)?;
             }
             Ok(())
         })
@@ -161,32 +165,36 @@ impl BatchParser {
         let entries = offsets.len().saturating_sub(1);
         out.clear();
         out.resize(entries, 0.0);
-        let parse_one = self.scalar_fn();
         self.run(out, entries, |slot_base, slots| {
             for (j, slot) in slots.iter_mut().enumerate() {
                 let i = slot_base + j;
-                let fail = |reason| BatchParseError {
-                    index: i,
-                    error: ParseFloatError::new(reason),
-                };
-                let text = arena
+                let bytes = arena
                     .get(offsets[i] as usize..offsets[i + 1] as usize)
-                    .ok_or_else(|| fail("arena offsets out of bounds"))?;
-                let text =
-                    std::str::from_utf8(text).map_err(|_| fail("entry is not valid UTF-8"))?;
-                *slot = parse_one(text).map_err(|error| BatchParseError { index: i, error })?;
+                    .ok_or_else(|| entry_error(i, "arena offsets out of bounds"))?;
+                *slot = self.parse_entry(bytes, i)?;
             }
             Ok(())
         })
     }
 
-    /// The per-value conversion the options select.
-    fn scalar_fn(&self) -> fn(&str) -> Result<f64, ParseFloatError> {
+    /// Converts entry `index` the way the options select. With the fast
+    /// tiers on, the bytes go straight to the scanner: what it accepts is
+    /// ASCII, so only the entries it (or a tier) declines pay for UTF-8
+    /// validation and the general parser.
+    fn parse_entry(&self, bytes: &[u8], index: usize) -> Result<f64, BatchParseError> {
         if self.opts.fast_path {
-            crate::read_f64
-        } else {
-            crate::read_f64_exact
+            if let Some(v) = crate::read_f64_fast_bytes(bytes) {
+                return Ok(v);
+            }
         }
+        let text = std::str::from_utf8(bytes)
+            .map_err(|_| entry_error(index, "entry is not valid UTF-8"))?;
+        let value = if self.opts.fast_path {
+            crate::read_general(text)
+        } else {
+            crate::read_f64_exact(text)
+        };
+        value.map_err(|error| BatchParseError { index, error })
     }
 
     /// Runs `work(base_index, slot_chunk)` over `out`, serially or across

@@ -94,57 +94,71 @@ pub fn decimal_to_float_exact<F: FloatFormat>(
     convert_exact::<F>(parts, base, rounding)
 }
 
-/// Converts a scanned base-10 literal through the fast tiers only, under
-/// round-to-nearest-even. `None` means no tier could certify the rounding
-/// (or `F` is not a hardware format) and the caller must take the general
-/// parse → exact route. Records reader telemetry on success.
+/// Converts a scanned base-10 literal to `f64` through the fast tiers
+/// only, under round-to-nearest-even: Clinger's one-operation path first,
+/// then Eisel–Lemire. `None` means no tier could certify the rounding and
+/// the caller must take the general parse → exact route. The tiers compute
+/// the magnitude; the sign is applied by negating it. Records reader
+/// telemetry on success.
+pub(crate) fn scanned_to_f64(sc: &ScannedDecimal) -> Option<f64> {
+    let clinger = if sc.truncated {
+        None
+    } else {
+        fast_path(sc.mantissa, sc.exponent)
+    };
+    let v = match clinger {
+        Some(v) => {
+            fpp_telemetry::record_read(ReadPath::FastPath);
+            v
+        }
+        None => {
+            let v = scanned_eisel_lemire::<f64>(sc)?;
+            fpp_telemetry::record_read(ReadPath::EiselLemire);
+            v
+        }
+    };
+    Some(if sc.negative { -v } else { v })
+}
+
+/// `f32` counterpart of [`scanned_to_f64`] (Eisel–Lemire only: Clinger's
+/// path is `f64` arithmetic).
+pub(crate) fn scanned_to_f32(sc: &ScannedDecimal) -> Option<f32> {
+    let v = scanned_eisel_lemire::<f32>(sc)?;
+    fpp_telemetry::record_read(ReadPath::EiselLemire);
+    Some(if sc.negative { -v } else { v })
+}
+
+/// [`scanned_to_f64`] / [`scanned_to_f32`] for a generic target: `None`
+/// (take the general route) unless `F` is one of the hardware formats.
 pub(crate) fn scanned_to_float<F: FloatFormat>(sc: &ScannedDecimal) -> Option<F> {
     if F::PRECISION == 53 && F::MIN_EXP == -1074 {
-        let (v, path) = scanned_magnitude::<f64>(sc, true)?;
-        fpp_telemetry::record_read(path);
-        Some(encode_from_f64::<F>(v, sc.negative))
+        scanned_to_f64(sc).map(|v| encode_from_f64::<F>(v, sc.negative))
     } else if F::PRECISION == 24 && F::MIN_EXP == -149 {
-        let (v, path) = scanned_magnitude::<f32>(sc, false)?;
-        fpp_telemetry::record_read(path);
-        Some(encode_from_f32::<F>(v, sc.negative))
+        scanned_to_f32(sc).map(|v| encode_from_f32::<F>(v, sc.negative))
     } else {
         None
     }
 }
 
-/// The magnitude of a scanned literal via Clinger (`f64` only) or
-/// Eisel–Lemire, including the truncated-tail bracketing trick: a 19-digit
-/// prefix `w` with a dropped non-zero tail pins the true value inside
-/// `(w, w+1) × 10^q`, so when both endpoints round to the same float, every
-/// value between them does too (rounding is monotone) and that float is the
-/// answer. Disagreement — or any tier rejection — returns `None`.
-fn scanned_magnitude<F: crate::lemire::LemireFloat>(
-    sc: &ScannedDecimal,
-    try_clinger: bool,
-) -> Option<(F, ReadPath)> {
+/// The magnitude of a scanned literal via Eisel–Lemire, including the
+/// truncated-tail bracketing trick: a 19-digit prefix `w` with a dropped
+/// non-zero tail pins the true value inside `(w, w+1) × 10^q`, so when
+/// both endpoints round to the same float, every value between them does
+/// too (rounding is monotone) and that float is the answer. Disagreement —
+/// or a tier rejection — returns `None`.
+fn scanned_eisel_lemire<F: crate::lemire::LemireFloat>(sc: &ScannedDecimal) -> Option<F> {
+    let low = eisel_lemire::<F>(sc.mantissa, sc.exponent)?;
     if sc.truncated {
-        let low = eisel_lemire::<F>(sc.mantissa, sc.exponent)?;
         let high = eisel_lemire::<F>(sc.mantissa + 1, sc.exponent)?;
         if low.to_bits_u64() != high.to_bits_u64() {
             return None;
         }
-        return Some((low, ReadPath::EiselLemire));
     }
-    if try_clinger && F::PRECISION == 53 {
-        if let Some(v) = fast_path(sc.mantissa, sc.exponent) {
-            // `F` is f64 here (guarded above); re-encode through decode.
-            return Some((encode_from_f64::<F>(v, false), ReadPath::FastPath));
-        }
-    }
-    Some((
-        eisel_lemire::<F>(sc.mantissa, sc.exponent)?,
-        ReadPath::EiselLemire,
-    ))
+    Some(low)
 }
 
-/// Reuses an exactly computed `f64` when the target *is* `f64`; otherwise
-/// falls through to the exact path (the fast path is only enabled for `f64`
-/// via this check).
+/// Re-encodes the magnitude of a fast-tier `f64` as the generic target `F`
+/// (which the callers have checked is `f64`-shaped) with the given sign.
 fn encode_from_f64<F: FloatFormat>(v: f64, negative: bool) -> F {
     // The fast tiers only run when F is f64 (53-bit significand).
     debug_assert!(F::PRECISION == 53);

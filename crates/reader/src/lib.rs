@@ -56,7 +56,7 @@ use fpp_float::{FloatFormat, RoundingMode};
 /// assert_eq!(fpp_reader::read_f64("6.02214076e23").unwrap(), 6.02214076e23);
 /// ```
 pub fn read_f64(s: &str) -> Result<f64, ParseFloatError> {
-    read_float::<f64>(s, 10, RoundingMode::NearestEven)
+    read_f64_fast(s).map_or_else(|| read_general(s), Ok)
 }
 
 /// Reads an `f32` from a base-10 literal with IEEE round-to-nearest-even.
@@ -65,7 +65,7 @@ pub fn read_f64(s: &str) -> Result<f64, ParseFloatError> {
 ///
 /// Returns [`ParseFloatError`] on a malformed literal.
 pub fn read_f32(s: &str) -> Result<f32, ParseFloatError> {
-    read_float::<f32>(s, 10, RoundingMode::NearestEven)
+    read_f32_fast(s).map_or_else(|| read_general(s), Ok)
 }
 
 /// Reads a float in any base 2–36 under any rounding mode.
@@ -102,14 +102,26 @@ pub fn read_float<F: FloatFormat>(
     // scanner accepts a strict subset of `parse_literal`'s grammar, so no
     // input changes between Ok and Err by taking this route.
     if base == 10 && matches!(rounding, RoundingMode::NearestEven) {
-        if let Some(sc) = scan::scan_decimal(s) {
-            if let Some(v) = convert::scanned_to_float::<F>(&sc) {
-                return Ok(v);
-            }
+        if let Some(v) =
+            scan::scan_decimal(s.as_bytes()).and_then(|sc| convert::scanned_to_float::<F>(&sc))
+        {
+            return Ok(v);
         }
     }
     let literal = parse_literal(s, base)?;
     Ok(decimal_to_float::<F>(&literal, base, rounding))
+}
+
+/// The general base-10, round-to-nearest-even route for literals the fast
+/// tiers decline (special words, `#` marks, tier rejections) and the one
+/// that reports malformed input: parse into big-integer form, then convert.
+pub(crate) fn read_general<F: FloatFormat>(s: &str) -> Result<F, ParseFloatError> {
+    let literal = parse_literal(s, 10)?;
+    Ok(decimal_to_float::<F>(
+        &literal,
+        10,
+        RoundingMode::NearestEven,
+    ))
 }
 
 /// Reads an `f64` through the fast tiers **only** (scan → Clinger →
@@ -120,13 +132,19 @@ pub fn read_float<F: FloatFormat>(
 /// audits and benches; `Some` results are bit-identical to [`read_f64`].
 #[must_use]
 pub fn read_f64_fast(s: &str) -> Option<f64> {
-    convert::scanned_to_float::<f64>(&scan::scan_decimal(s)?)
+    read_f64_fast_bytes(s.as_bytes())
+}
+
+/// [`read_f64_fast`] over raw bytes: the scanner accepts only ASCII, so
+/// callers holding unchecked bytes need no UTF-8 validation for a `Some`.
+pub(crate) fn read_f64_fast_bytes(bytes: &[u8]) -> Option<f64> {
+    convert::scanned_to_f64(&scan::scan_decimal(bytes)?)
 }
 
 /// `f32` counterpart of [`read_f64_fast`].
 #[must_use]
 pub fn read_f32_fast(s: &str) -> Option<f32> {
-    convert::scanned_to_float::<f32>(&scan::scan_decimal(s)?)
+    convert::scanned_to_f32(&scan::scan_decimal(s.as_bytes())?)
 }
 
 /// Reads an `f64` through the exact big-integer path **only**, skipping

@@ -84,12 +84,8 @@ pub fn parse_literal(s: &str, base: u64) -> Result<Literal, ParseFloatError> {
     };
 
     let rest = &s[pos..];
-    let lower = rest.to_ascii_lowercase();
-    if lower == "inf" || lower == "infinity" {
-        return Ok(Literal::Infinity { negative });
-    }
-    if lower == "nan" {
-        return Ok(Literal::Nan);
+    if let Some(special) = special_word(rest, negative) {
+        return Ok(special);
     }
 
     // Accumulate coefficient digits exactly (up to the cap), tracking the
@@ -216,12 +212,8 @@ pub fn parse_hex_literal(s: &str) -> Result<Literal, ParseFloatError> {
         }
         _ => false,
     };
-    let lower = rest.to_ascii_lowercase();
-    if lower == "inf" || lower == "infinity" {
-        return Ok(Literal::Infinity { negative });
-    }
-    if lower == "nan" {
-        return Ok(Literal::Nan);
+    if let Some(special) = special_word(rest, negative) {
+        return Ok(special);
     }
     let body = rest
         .strip_prefix("0x")
@@ -262,6 +254,18 @@ pub fn parse_hex_literal(s: &str) -> Result<Literal, ParseFloatError> {
         exponent: exp2 - 4 * frac_nibbles, // base-2 exponent
         truncated: false,
     }))
+}
+
+/// `inf` / `infinity` / `nan` in any case (after the sign), compared in
+/// place rather than through a lowercased copy.
+fn special_word(rest: &str, negative: bool) -> Option<Literal> {
+    if rest.eq_ignore_ascii_case("inf") || rest.eq_ignore_ascii_case("infinity") {
+        Some(Literal::Infinity { negative })
+    } else if rest.eq_ignore_ascii_case("nan") {
+        Some(Literal::Nan)
+    } else {
+        None
+    }
 }
 
 /// Parses the decimal exponent field (which may itself be absurdly long;

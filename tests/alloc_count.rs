@@ -1,7 +1,8 @@
 //! Regression proof of the zero-steady-state-allocation guarantee: after a
 //! warm-up pass has grown every recycled buffer in a [`fpp::DtoaContext`] to
 //! its high-water mark, converting the whole corpus again through the sink
-//! API performs **zero** heap allocations.
+//! API performs **zero** heap allocations. The reader holds the same bar:
+//! the fast tiers, the special words and a warmed serial batch parse.
 //!
 //! The proof is a counting `#[global_allocator]` wrapped around the system
 //! allocator. The test lives alone in this integration binary so no
@@ -12,6 +13,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use fpp::batch::{BatchFormatter, BatchOutput};
 use fpp::core::FreeFormat;
+use fpp::reader::{read_f64, BatchParseOptions, BatchParser};
 use fpp::{write_fixed, write_shortest, DtoaContext, SliceSink};
 
 /// Counts every allocation and reallocation routed through the global
@@ -177,5 +179,49 @@ fn sink_conversions_are_allocation_free_after_warm_up() {
         after - before,
         0,
         "warmed batch formatting must not allocate"
+    );
+
+    // The reader: the special words are matched in place (no lowercased
+    // copy), and the fast tiers never allocate, scalar or over a batch
+    // arena (serial path).
+    let parser = BatchParser::with_options(BatchParseOptions {
+        threads: Some(1),
+        ..BatchParseOptions::default()
+    });
+    let mut parsed = Vec::new();
+    parser
+        .parse_offsets(out.arena(), out.offsets(), &mut parsed)
+        .expect("printed column reads back");
+    let before = allocations();
+    assert!(read_f64("inf").unwrap().is_infinite());
+    assert_eq!(read_f64("-Infinity").unwrap(), f64::NEG_INFINITY);
+    assert!(read_f64("NaN").unwrap().is_nan());
+    let after = allocations();
+    assert_eq!(
+        after - before,
+        0,
+        "reading inf/-Infinity/NaN must not allocate"
+    );
+
+    let before = allocations();
+    for s in [
+        "0.1",
+        "-2.5e-3",
+        "1e23",
+        "6.02214076e23",
+        "5e-324",
+        "1.7976931348623157e308",
+    ] {
+        assert!(read_f64(s).unwrap().is_finite());
+    }
+    parser
+        .parse_offsets(out.arena(), out.offsets(), &mut parsed)
+        .expect("printed column reads back");
+    let after = allocations();
+    assert_eq!(parsed.len(), corpus32.len());
+    assert_eq!(
+        after - before,
+        0,
+        "fast-tier reads and warmed serial batch parsing must not allocate"
     );
 }
