@@ -1,12 +1,8 @@
 #!/usr/bin/env bash
-# Hermetic CI: everything here runs with no registry access (the proptest /
-# criterion suites are feature-gated out; see DESIGN.md §9).
+# Hermetic CI: everything here runs with no registry access (the proptest
+# suites are feature-gated out; see DESIGN.md §9).
 set -euo pipefail
 cd "$(dirname "$0")"
-
-# `--quick` smoke runs of the bench bins write their reports here, never
-# over the committed BENCH_*.json files.
-SMOKE=target/bench-smoke
 
 echo "== fmt =="
 cargo fmt --all -- --check
@@ -26,36 +22,12 @@ cargo test --release -q --test alloc_count
 echo "== batch parity (release) =="
 cargo test --release -q --test batch_parity
 
-echo "== batch throughput smoke + BENCH_batch.json schema =="
-cargo run -p fpp-bench --release --bin throughput -- --quick
-for key in bench schema_version threads element_count workloads floats_per_sec \
-           mb_per_sec summary scalar_floats_per_sec \
-           sharded_floats_per_sec sharded_vs_scalar parity_checked; do
-  grep -q "\"$key\"" "$SMOKE/BENCH_batch.json" \
-    || { echo "BENCH_batch.json missing key: $key"; exit 1; }
-done
-
 echo "== shortest tier: parity tests (release) =="
 # Byte-for-byte parity of the shortest tier against the exact engine: the
 # sampled/stratified/exhaustive-16-bit suites, plus the 10M-sample sweep
 # (ignored by default — it needs release-mode speed).
 cargo test --release -q --test fastpath_parity
 cargo test --release -q --test fastpath_parity -- --ignored ten_million
-
-echo "== shortest tier: bench smoke + BENCH_fastpath.json schema =="
-cargo run -p fpp-bench --release --bin fastpath -- --quick
-for key in bench schema_version quick element_count workloads accept_rate \
-           exact_floats_per_sec fast_floats_per_sec speedup summary \
-           parity_checked; do
-  grep -q "\"$key\"" "$SMOKE/BENCH_fastpath.json" \
-    || { echo "BENCH_fastpath.json missing key: $key"; exit 1; }
-done
-grep -q '"parity_checked": true' "$SMOKE/BENCH_fastpath.json" \
-  || { echo "shortest-tier parity audit did not run"; exit 1; }
-# The default recipe is answered by the tier for every value.
-if grep '"accept_rate"' "$SMOKE/BENCH_fastpath.json" | grep -qv '"accept_rate": 1.000000'; then
-  echo "shortest tier declined values of the default recipe"; exit 1
-fi
 
 echo "== reader: parse parity + round-trip batteries (release) =="
 # The Eisel–Lemire tiers against the exact big-integer oracle and std:
@@ -71,17 +43,6 @@ cargo test --release -q --test reader_scanner
 cargo test --release -q --test reader_mutation
 cargo test --release -q --test reader_mutation -- --ignored
 
-echo "== reader: round-trip bench smoke + BENCH_reader.json schema =="
-cargo run -p fpp-bench --release --bin roundtrip -- --quick
-for key in bench schema_version quick element_count workloads accept_rate \
-           exact_floats_per_sec fast_floats_per_sec speedup \
-           roundtrip_floats_per_sec roundtrip_ok summary parity_checked; do
-  grep -q "\"$key\"" "$SMOKE/BENCH_reader.json" \
-    || { echo "BENCH_reader.json missing key: $key"; exit 1; }
-done
-grep -q '"roundtrip_ok": true' "$SMOKE/BENCH_reader.json" \
-  || { echo "round-trip bit audit did not pass"; exit 1; }
-
 echo "== telemetry build + tests (--features telemetry) =="
 # The instrumented configuration is a separate feature unification: build it,
 # run the whole suite under it (including the exact-count tests/telemetry.rs
@@ -96,16 +57,14 @@ echo "== telemetry-off zero-cost guard (release) =="
 # allocator must see zero steady-state allocations, same as the seed.
 cargo test --release -q --test alloc_count
 
-echo "== live stats smoke + BENCH_telemetry.json schema =="
-cargo run -p fpp-bench --release --features telemetry --bin stats_live -- --quick
-for key in bench schema_version quick telemetry_enabled threads element_count \
-           distinct_values digit_len_hist digit_len_offline histogram_match \
-           mean_digits fixup_rate scale_violations term fastpath scratch \
-           sharded; do
-  grep -q "\"$key\"" "$SMOKE/BENCH_telemetry.json" \
-    || { echo "BENCH_telemetry.json missing key: $key"; exit 1; }
+echo "== benchmark: offline build + 1-second smoke run of each workload =="
+# perfbench is its own package (see BENCHMARK.json); building it catches
+# library API drift, and each run exits non-zero if any output check fails.
+# Its run records go to the gitignored perfbench/results/.
+cargo build --release --offline --quiet --manifest-path perfbench/Cargo.toml
+for w in print_uniform print_repeat print_fixed read_shortest; do
+  cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload "$w" --seed 1 --seconds 1 --trace 0
 done
-grep -q '"histogram_match": true' "$SMOKE/BENCH_telemetry.json" \
-  || { echo "live digit histogram diverged from offline recount"; exit 1; }
 
 echo "CI OK"

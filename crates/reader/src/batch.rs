@@ -27,11 +27,6 @@ pub struct BatchParseOptions {
     /// stay serial, and shard counts are capped at `len / min_shard_len`.
     /// The default 4096 matches the formatter's tuning.
     pub min_shard_len: usize,
-    /// Whether to use the fast tiers (scan → Clinger → Eisel–Lemire) with
-    /// the exact reader as fallback (default `true`), or the exact
-    /// big-integer path for every value (`false` — the measurement
-    /// baseline, and a way to exercise the fallback itself).
-    pub fast_path: bool,
 }
 
 impl Default for BatchParseOptions {
@@ -39,7 +34,6 @@ impl Default for BatchParseOptions {
         BatchParseOptions {
             threads: None,
             min_shard_len: 4096,
-            fast_path: true,
         }
     }
 }
@@ -138,7 +132,7 @@ impl BatchParser {
         self.run(out, strings.len(), |slot_base, slots| {
             for (j, slot) in slots.iter_mut().enumerate() {
                 let i = slot_base + j;
-                *slot = self.parse_entry(strings[i].as_bytes(), i)?;
+                *slot = Self::parse_entry(strings[i].as_bytes(), i)?;
             }
             Ok(())
         })
@@ -171,30 +165,22 @@ impl BatchParser {
                 let bytes = arena
                     .get(offsets[i] as usize..offsets[i + 1] as usize)
                     .ok_or_else(|| entry_error(i, "arena offsets out of bounds"))?;
-                *slot = self.parse_entry(bytes, i)?;
+                *slot = Self::parse_entry(bytes, i)?;
             }
             Ok(())
         })
     }
 
-    /// Converts entry `index` the way the options select. With the fast
-    /// tiers on, the bytes go straight to the scanner: what it accepts is
-    /// ASCII, so only the entries it (or a tier) declines pay for UTF-8
-    /// validation and the general parser.
-    fn parse_entry(&self, bytes: &[u8], index: usize) -> Result<f64, BatchParseError> {
-        if self.opts.fast_path {
-            if let Some(v) = crate::read_f64_fast_bytes(bytes) {
-                return Ok(v);
-            }
+    /// Converts entry `index`. The bytes go straight to the scanner: what
+    /// it accepts is ASCII, so only the entries it (or a tier) declines pay
+    /// for UTF-8 validation and the general parser.
+    fn parse_entry(bytes: &[u8], index: usize) -> Result<f64, BatchParseError> {
+        if let Some(v) = crate::read_f64_fast_bytes(bytes) {
+            return Ok(v);
         }
         let text = std::str::from_utf8(bytes)
             .map_err(|_| entry_error(index, "entry is not valid UTF-8"))?;
-        let value = if self.opts.fast_path {
-            crate::read_general(text)
-        } else {
-            crate::read_f64_exact(text)
-        };
-        value.map_err(|error| BatchParseError { index, error })
+        crate::read_general(text).map_err(|error| BatchParseError { index, error })
     }
 
     /// Runs `work(base_index, slot_chunk)` over `out`, serially or across
@@ -305,7 +291,6 @@ mod tests {
         let parser = BatchParser::with_options(BatchParseOptions {
             threads: Some(4),
             min_shard_len: 8,
-            fast_path: true,
         });
         let err = parser.parse_f64s(&strings).unwrap_err();
         assert_eq!(err.index, 41, "lowest failing index wins");
@@ -324,7 +309,6 @@ mod tests {
         let sharded = BatchParser::with_options(BatchParseOptions {
             threads: Some(8),
             min_shard_len: 64,
-            fast_path: true,
         })
         .parse_f64s(&refs)
         .expect("sharded");
@@ -335,17 +319,13 @@ mod tests {
     }
 
     #[test]
-    fn exact_only_mode_agrees() {
+    fn agrees_with_the_exact_reader() {
         let strings = ["0.3", "9007199254740993", "2.2250738585072011e-308"];
-        let exact = BatchParser::with_options(BatchParseOptions {
-            fast_path: false,
-            ..BatchParseOptions::default()
-        });
-        let fast = BatchParser::new();
-        assert_eq!(
-            exact.parse_f64s(&strings).unwrap(),
-            fast.parse_f64s(&strings).unwrap()
-        );
+        let values = BatchParser::new().parse_f64s(&strings).unwrap();
+        for (s, v) in strings.iter().zip(&values) {
+            let exact = crate::read_f64_exact(s).expect("valid literal");
+            assert_eq!(v.to_bits(), exact.to_bits(), "{s}");
+        }
     }
 
     #[test]

@@ -42,54 +42,6 @@ pub fn decimal_to_float<F: FloatFormat>(lit: &Literal, base: u64, rounding: Roun
     if parts.digits.is_zero() && !parts.truncated {
         return F::encode(parts.negative, 0, 0);
     }
-    // Fast tiers: base-10 literals with a u64-sized coefficient under
-    // round-to-nearest-even, when the target is a hardware format. Clinger's
-    // one-operation path first (f64 only), then the Eisel–Lemire truncated
-    // product; its rejections fall through to the exact path below.
-    if base == 10 && !parts.truncated && matches!(rounding, RoundingMode::NearestEven) {
-        if F::PRECISION == 53 && F::MIN_EXP == -1074 {
-            if let Ok(d) = u64::try_from(&parts.digits) {
-                if let Some(v) = fast_path(d, parts.exponent) {
-                    fpp_telemetry::record_read(ReadPath::FastPath);
-                    return encode_from_f64::<F>(v, parts.negative);
-                }
-                if let Some(v) = eisel_lemire::<f64>(d, parts.exponent) {
-                    fpp_telemetry::record_read(ReadPath::EiselLemire);
-                    return encode_from_f64::<F>(v, parts.negative);
-                }
-            }
-        } else if F::PRECISION == 24 && F::MIN_EXP == -149 {
-            if let Ok(d) = u64::try_from(&parts.digits) {
-                if let Some(v) = eisel_lemire::<f32>(d, parts.exponent) {
-                    fpp_telemetry::record_read(ReadPath::EiselLemire);
-                    return encode_from_f32::<F>(v, parts.negative);
-                }
-            }
-        }
-    }
-    fpp_telemetry::record_read(ReadPath::Exact);
-    convert_exact::<F>(parts, base, rounding)
-}
-
-/// Converts a parsed literal through the exact big-integer path **only**,
-/// skipping every fast tier — the oracle the differential and round-trip
-/// suites (and the `roundtrip` bench's baseline) compare against. Output is
-/// bit-identical to [`decimal_to_float`] for every input, by construction:
-/// the fast tiers reject rather than approximate.
-#[must_use]
-pub fn decimal_to_float_exact<F: FloatFormat>(
-    lit: &Literal,
-    base: u64,
-    rounding: RoundingMode,
-) -> F {
-    let parts = match lit {
-        Literal::Nan => return F::nan(),
-        Literal::Infinity { negative } => return F::infinity(*negative),
-        Literal::Finite(parts) => parts,
-    };
-    if parts.digits.is_zero() && !parts.truncated {
-        return F::encode(parts.negative, 0, 0);
-    }
     fpp_telemetry::record_read(ReadPath::Exact);
     convert_exact::<F>(parts, base, rounding)
 }
@@ -132,9 +84,9 @@ pub(crate) fn scanned_to_f32(sc: &ScannedDecimal) -> Option<f32> {
 /// (take the general route) unless `F` is one of the hardware formats.
 pub(crate) fn scanned_to_float<F: FloatFormat>(sc: &ScannedDecimal) -> Option<F> {
     if F::PRECISION == 53 && F::MIN_EXP == -1074 {
-        scanned_to_f64(sc).map(|v| encode_from_f64::<F>(v, sc.negative))
+        scanned_to_f64(sc).map(reencode::<f64, F>)
     } else if F::PRECISION == 24 && F::MIN_EXP == -149 {
-        scanned_to_f32(sc).map(|v| encode_from_f32::<F>(v, sc.negative))
+        scanned_to_f32(sc).map(reencode::<f32, F>)
     } else {
         None
     }
@@ -157,31 +109,19 @@ fn scanned_eisel_lemire<F: crate::lemire::LemireFloat>(sc: &ScannedDecimal) -> O
     Some(low)
 }
 
-/// Re-encodes the magnitude of a fast-tier `f64` as the generic target `F`
-/// (which the callers have checked is `f64`-shaped) with the given sign.
-fn encode_from_f64<F: FloatFormat>(v: f64, negative: bool) -> F {
-    // The fast tiers only run when F is f64 (53-bit significand).
-    debug_assert!(F::PRECISION == 53);
+/// Re-encodes a fast-tier float `H` as the generic target `F`, which the
+/// caller has checked has the same format.
+fn reencode<H: FloatFormat, F: FloatFormat>(v: H) -> F {
+    debug_assert!(F::PRECISION == H::PRECISION && F::MIN_EXP == H::MIN_EXP);
     match v.decode() {
         fpp_float::Decoded::Finite {
-            mantissa, exponent, ..
+            negative,
+            mantissa,
+            exponent,
         } => F::encode(negative, mantissa, exponent),
-        fpp_float::Decoded::Zero { .. } => F::encode(negative, 0, 0),
+        fpp_float::Decoded::Zero { negative } => F::encode(negative, 0, 0),
         // Eisel–Lemire reports certain overflow as infinity.
-        fpp_float::Decoded::Infinite { .. } => F::infinity(negative),
-        fpp_float::Decoded::Nan => unreachable!("fast tiers never produce NaN"),
-    }
-}
-
-/// `f32` counterpart of [`encode_from_f64`], for the `f32` fast tier.
-fn encode_from_f32<F: FloatFormat>(v: f32, negative: bool) -> F {
-    debug_assert!(F::PRECISION == 24);
-    match v.decode() {
-        fpp_float::Decoded::Finite {
-            mantissa, exponent, ..
-        } => F::encode(negative, mantissa, exponent),
-        fpp_float::Decoded::Zero { .. } => F::encode(negative, 0, 0),
-        fpp_float::Decoded::Infinite { .. } => F::infinity(negative),
+        fpp_float::Decoded::Infinite { negative } => F::infinity(negative),
         fpp_float::Decoded::Nan => unreachable!("fast tiers never produce NaN"),
     }
 }

@@ -122,7 +122,13 @@ pub fn parse_literal(s: &str, base: u64) -> Result<Literal, ParseFloatError> {
         match digit {
             Some(d) => {
                 any_digit = true;
-                if kept < MAX_EXACT_DIGITS {
+                if d == 0 && kept == 0 {
+                    // A zero before the first significant digit takes no
+                    // slot of the cap; after the point it still scales.
+                    if seen_point {
+                        frac_digits += 1;
+                    }
+                } else if kept < MAX_EXACT_DIGITS {
                     digits.mul_u64(base);
                     digits.add_u64(d);
                     kept += 1;

@@ -18,7 +18,7 @@
 //! Instrumented call sites additionally guard non-trivial argument
 //! computation behind the [`ENABLED`] constant so the disabled build folds
 //! them away entirely; the root crate's counting-allocator test and the
-//! throughput benchmark hold the line behaviourally.
+//! offline benchmark (`perfbench/`) hold the line behaviourally.
 //!
 //! ## Contention-free when enabled
 //!

@@ -1,15 +1,14 @@
 //! Byte-for-byte parity of the batch engine against the per-value API.
 //!
 //! Every batch path — serial and sharded at several thread counts — must
-//! reproduce
-//! [`fpp::print_shortest`]'s exact bytes over the Schryer hard cases, the
-//! special-value gallery (signed zeros, subnormals, infinities, NaN), and
-//! duplicate-heavy columns. Buffer-reuse stability is asserted here too;
+//! reproduce [`fpp::print_shortest`]'s exact bytes over the Schryer hard
+//! cases, log-uniform doubles, the special-value gallery (signed zeros,
+//! subnormals, infinities, NaN), and duplicate-heavy columns. Buffer-reuse stability is asserted here too;
 //! the steady-state *zero-allocation* proof lives with the counting global
 //! allocator in `tests/alloc_count.rs`.
 
 use fpp::batch::{BatchFormatter, BatchOptions, BatchOutput};
-use fpp::testgen::{special_values, SchryerSet};
+use fpp::testgen::{log_uniform_doubles, special_values, SchryerSet};
 use fpp::{print_shortest, FreeFormat};
 
 /// Schryer workload, subsampled so the debug-profile run stays quick while
@@ -81,6 +80,22 @@ fn sharded_batch_matches_serial_at_any_thread_count() {
             "sharded({threads}) offsets"
         );
     }
+}
+
+#[test]
+fn log_uniform_columns_match_print_shortest_serial_and_sharded() {
+    let values: Vec<f64> = log_uniform_doubles(42).take(20_000).collect();
+    let mut out = BatchOutput::new();
+    BatchFormatter::new().format_f64s(&values, &mut out);
+    assert_parity(&values, &out, "log-uniform serial");
+    let mut out_sh = BatchOutput::new();
+    sharded_formatter(3).format_f64s_sharded(&values, &mut out_sh);
+    assert_eq!(out.arena(), out_sh.arena(), "log-uniform sharded arena");
+    assert_eq!(
+        out.offsets(),
+        out_sh.offsets(),
+        "log-uniform sharded offsets"
+    );
 }
 
 #[test]

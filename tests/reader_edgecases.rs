@@ -188,3 +188,94 @@ fn round_trip_of_all_printf_outputs() {
         }
     }
 }
+
+/// Checks a long literal on every read path: `read_f64_exact`, `read_f64`
+/// and `str::parse` agree on the bits, and the directed modes bracket that
+/// value with adjacent (or equal) doubles.
+fn check_long(s: &str, expect: f64) {
+    let std_v: f64 = s.parse().expect("std parses");
+    assert_eq!(
+        std_v.to_bits(),
+        expect.to_bits(),
+        "str::parse on {}",
+        show(s)
+    );
+    check_reads(s, expect);
+}
+
+/// [`check_long`] without `str::parse`.
+fn check_reads(s: &str, expect: f64) {
+    let exact = read_f64_exact(s).unwrap();
+    assert_eq!(
+        exact.to_bits(),
+        expect.to_bits(),
+        "read_f64_exact on {}",
+        show(s)
+    );
+    let tiered = read_f64(s).unwrap();
+    assert_eq!(
+        tiered.to_bits(),
+        expect.to_bits(),
+        "read_f64 on {}",
+        show(s)
+    );
+    let down: f64 = read_float(s, 10, RoundingMode::TowardZero).unwrap();
+    let up: f64 = read_float(s, 10, RoundingMode::AwayFromZero).unwrap();
+    assert!(
+        down <= expect && expect <= up && (down == up || down.next_up() == up),
+        "directed modes {down:e}, {up:e} do not bracket {expect:e} on {}",
+        show(s)
+    );
+}
+
+/// A long literal shortened for a failure message.
+fn show(s: &str) -> String {
+    format!("{}...{} ({} bytes)", &s[..8], &s[s.len() - 12..], s.len())
+}
+
+/// The digit-retention cap (1100 digits) must count significant digits
+/// only: runs of zeros before the first one take no slot.
+const ZERO_RUNS: [usize; 4] = [1099, 1100, 1101, 5000];
+
+#[test]
+fn integer_leading_zeros_take_no_digit_slots() {
+    for n in ZERO_RUNS {
+        let zeros = "0".repeat(n);
+        check_long(&format!("{zeros}1"), 1.0);
+        check_long(&format!("{zeros}2.71e-7"), 2.71e-7);
+        check_long(&format!("{zeros}1e-5"), 1e-5);
+        // Past the leading zeros the cap counts again: 1200 ones keep 1100
+        // and fold the rest into the sticky bit.
+        check_long(
+            &format!("{zeros}{}e-1200", "1".repeat(1200)),
+            0.1111111111111111,
+        );
+    }
+}
+
+#[test]
+fn fraction_leading_zeros_take_no_digit_slots_but_scale() {
+    for n in ZERO_RUNS {
+        let zeros = "0".repeat(n);
+        // 0.[n zeros]5 × 10^(n − 99) = 5e-100.
+        check_long(&format!("0.{zeros}5e{}", n as i64 - 99), 5e-100);
+        check_long(&format!(".{zeros}25e{n}"), 0.25);
+        check_long(
+            &format!("0.{zeros}{}e{n}", "1".repeat(1200)),
+            0.1111111111111111,
+        );
+        // No exponent: below the smallest subnormal, so nearest gives 0,
+        // toward-zero 0 and away-from-zero the smallest subnormal.
+        check_long(&format!("0.{zeros}1"), 0.0);
+    }
+}
+
+#[test]
+fn mebibyte_zero_padded_literals() {
+    let zeros = "0".repeat(1 << 20);
+    check_long(&format!("{zeros}1.5"), 1.5);
+    check_long(&format!("0.{zeros}15"), 0.0);
+    // `str::parse` stops reading exponent digits once their value passes
+    // 65535, so it reads this one as 0; the value is 1.5.
+    check_reads(&format!("0.{zeros}15e{}", (1 << 20) + 1), 1.5);
+}

@@ -6,8 +6,9 @@
 //! - not panic;
 //! - read the same through `read_f64` as through the exact oracle
 //!   `read_f64_exact`, on Ok/Err and on the bits;
-//! - read the same through `BatchParser::parse_offsets` with the fast
-//!   tiers as without them, on the values, the error index and the reason;
+//! - read the same through `BatchParser::parse_offsets` as through
+//!   `from_utf8` and `read_f64_exact` entry by entry, on the values, the
+//!   lowest failing index and the reason;
 //! - match `str::parse::<f64>` wherever both accept it.
 //!
 //! The tier-1 run covers 200,000 mutants; the `#[ignore]`d sweep covers
@@ -141,20 +142,37 @@ fn batch(parser: &BatchParser, arena: &[u8], offsets: &[u32]) -> Result<Vec<u64>
     }
 }
 
-/// A column of entries awaiting one `parse_offsets` comparison with and
-/// without the fast tiers.
+/// What `parse_offsets` must return: every entry through `from_utf8` and
+/// the exact oracle, stopping at the lowest failing index.
+fn oracle(arena: &[u8], offsets: &[u32]) -> Result<Vec<u64>, (usize, String)> {
+    offsets
+        .windows(2)
+        .enumerate()
+        .map(|(i, w)| {
+            let text = std::str::from_utf8(&arena[w[0] as usize..w[1] as usize])
+                .map_err(|_| (i, NOT_UTF8.to_string()))?;
+            read_f64_exact(text)
+                .map(f64::to_bits)
+                .map_err(|e| (i, e.to_string()))
+        })
+        .collect()
+}
+
+/// The batch parser's error message for an entry that is not UTF-8.
+const NOT_UTF8: &str = "invalid float literal: entry is not valid UTF-8";
+
+/// A column of entries awaiting one `parse_offsets` comparison with the
+/// exact oracle.
 struct Column<'p> {
-    fast: &'p BatchParser,
-    exact: &'p BatchParser,
+    parser: &'p BatchParser,
     arena: Vec<u8>,
     offsets: Vec<u32>,
 }
 
 impl<'p> Column<'p> {
-    fn new(fast: &'p BatchParser, exact: &'p BatchParser) -> Self {
+    fn new(parser: &'p BatchParser) -> Self {
         Column {
-            fast,
-            exact,
+            parser,
             arena: Vec::new(),
             offsets: vec![0],
         }
@@ -169,13 +187,13 @@ impl<'p> Column<'p> {
         }
     }
 
-    /// Parses the pending entries both ways, asserts the two results are
-    /// identical, and starts over.
+    /// Parses the pending entries, asserts the result is the oracle's, and
+    /// starts over.
     fn flush(&mut self) {
         assert_eq!(
-            batch(self.fast, &self.arena, &self.offsets),
-            batch(self.exact, &self.arena, &self.offsets),
-            "parse_offsets with and without the fast tiers on {:?}",
+            batch(self.parser, &self.arena, &self.offsets),
+            oracle(&self.arena, &self.offsets),
+            "parse_offsets vs the exact oracle on {:?}",
             String::from_utf8_lossy(&self.arena)
         );
         self.arena.clear();
@@ -186,19 +204,15 @@ impl<'p> Column<'p> {
 fn run(cases: usize) {
     let seeds = seeds();
     let mut rng = Xoshiro256pp::seed_from_u64(SEED);
-    let parser = |fast_path| {
-        BatchParser::with_options(BatchParseOptions {
-            threads: Some(1),
-            fast_path,
-            ..BatchParseOptions::default()
-        })
-    };
-    let (fast, exact) = (parser(true), parser(false));
+    let parser = BatchParser::with_options(BatchParseOptions {
+        threads: Some(1),
+        ..BatchParseOptions::default()
+    });
     // Every mutant goes into `all`, whose columns mostly fail: the error
     // index and reason are compared. The mutants that read back go into
     // `valid` as well, whose columns succeed: the values are compared.
-    let mut all = Column::new(&fast, &exact);
-    let mut valid = Column::new(&fast, &exact);
+    let mut all = Column::new(&parser);
+    let mut valid = Column::new(&parser);
     let (mut not_utf8, mut readable) = (0, 0);
     for _ in 0..cases {
         let seed = &seeds[rng.range_inclusive(0, seeds.len() as u64 - 1) as usize];

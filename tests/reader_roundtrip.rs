@@ -1,6 +1,6 @@
 //! Print→parse round-trip battery for the Eisel–Lemire fast tiers: the
 //! shortest printer's output must read back bit-identically through every
-//! reader tier, and the fast tiers must accept essentially all of it.
+//! reader tier, and the fast tiers must accept all of it.
 //!
 //! The default suite samples millions of doubles (hundreds of thousands
 //! under debug builds); the exhaustive positive-finite `f32` sweep — all
@@ -10,13 +10,44 @@
 //! cargo test --release --test reader_roundtrip -- --ignored
 //! ```
 
+use fpp::batch::{BatchFormatter, BatchOutput};
 use fpp::core::{write_shortest, write_shortest_f32, DtoaContext, SliceSink};
-use fpp::reader::{read_f32, read_f32_fast, read_f64, read_f64_exact, read_f64_fast};
-use fpp::testgen::{log_uniform_doubles, special_values, uniform_bit_doubles};
+use fpp::reader::{read_f32, read_f32_fast, read_f64, read_f64_exact, read_f64_fast, BatchParser};
+use fpp::testgen::{log_uniform_doubles, special_values, uniform_bit_doubles, SchryerSet};
+
+/// Prints every value shortest and reads it back through the tiered
+/// reader, the fast tiers alone and (at a fixed stride) the exact-only
+/// reader, each of which must return the original bits. Returns how many
+/// strings the fast tiers declined.
+fn round_trip_all(values: impl Iterator<Item = f64>) -> u64 {
+    let mut ctx = DtoaContext::new(10);
+    let mut buf = [0u8; 32];
+    let mut declined: u64 = 0;
+    // The exact reader re-derives every value from big-integer scratch, so
+    // auditing it on the full sample would dominate the suite's runtime;
+    // a fixed stride keeps it honest at ~1% of the cost.
+    const EXACT_STRIDE: usize = 101;
+    for (i, v) in values.enumerate() {
+        let mut sink = SliceSink::new(&mut buf);
+        write_shortest(&mut ctx, &mut sink, v);
+        let s = sink.as_str();
+
+        let tiered = read_f64(s).expect("printed text parses");
+        assert_eq!(tiered.to_bits(), v.to_bits(), "tiered reader broke {s:?}");
+        match read_f64_fast(s) {
+            Some(fast) => assert_eq!(fast.to_bits(), v.to_bits(), "fast tier broke {s:?}"),
+            None => declined += 1,
+        }
+        if i % EXACT_STRIDE == 0 {
+            let exact = read_f64_exact(s).expect("printed text parses");
+            assert_eq!(exact.to_bits(), v.to_bits(), "exact reader broke {s:?}");
+        }
+    }
+    declined
+}
 
 /// Sampled f64 sweep: shortest-printed text must round-trip bit-identically
-/// through the tiered reader, the fast tiers alone, and the exact-only
-/// reader — and the fast tiers must accept ≥ 99% of printed output.
+/// through every tier, and the fast tiers must accept all of it.
 #[test]
 fn sampled_f64_shortest_output_round_trips_through_every_tier() {
     let n: usize = if cfg!(debug_assertions) {
@@ -24,40 +55,41 @@ fn sampled_f64_shortest_output_round_trips_through_every_tier() {
     } else {
         10_000_000
     };
-    let values = uniform_bit_doubles(0x5EED_F00D)
+    let bit_patterns = uniform_bit_doubles(0x5EED_F00D)
         .filter(|v| v.is_finite())
-        .take(n / 2)
-        .chain(log_uniform_doubles(0xD1FF_0001).take(n / 2));
+        .take(n / 2);
+    let declined = round_trip_all(bit_patterns);
+    assert_eq!(
+        declined, 0,
+        "fast tiers declined {declined} shortest-printed uniform-bit doubles"
+    );
+    let declined = round_trip_all(log_uniform_doubles(0xD1FF_0001).take(n / 2));
+    assert_eq!(
+        declined, 0,
+        "fast tiers declined {declined} shortest-printed log-uniform doubles"
+    );
+}
 
-    let mut ctx = DtoaContext::new(10);
-    let mut buf = [0u8; 32];
-    let mut total: u64 = 0;
-    let mut accepted: u64 = 0;
-    // The exact reader re-derives every value from big-integer scratch, so
-    // auditing it on the full sample would dominate the suite's runtime;
-    // a fixed stride keeps it honest at ~1% of the cost.
-    const EXACT_STRIDE: u64 = 101;
-    for v in values {
-        let mut sink = SliceSink::new(&mut buf);
-        write_shortest(&mut ctx, &mut sink, v);
-        let s = sink.as_str();
-        total += 1;
-
-        let tiered = read_f64(s).expect("printed text parses");
-        assert_eq!(tiered.to_bits(), v.to_bits(), "tiered reader broke {s:?}");
-        if let Some(fast) = read_f64_fast(s) {
-            accepted += 1;
-            assert_eq!(fast.to_bits(), v.to_bits(), "fast tier broke {s:?}");
-        }
-        if total.is_multiple_of(EXACT_STRIDE) {
-            let exact = read_f64_exact(s).expect("printed text parses");
-            assert_eq!(exact.to_bits(), v.to_bits(), "exact reader broke {s:?}");
-        }
+/// The paper's Schryer set, printed by the batch engine and read back out
+/// of its arena by `BatchParser::parse_offsets`: every value round-trips
+/// and the fast tiers answer every string.
+#[test]
+fn schryer_set_round_trips_through_the_batch_engines() {
+    let step = if cfg!(debug_assertions) { 8 } else { 1 };
+    let values: Vec<f64> = SchryerSet::new().iter().step_by(step).collect();
+    let mut out = BatchOutput::new();
+    BatchFormatter::new().format_f64s(&values, &mut out);
+    let mut back = Vec::new();
+    BatchParser::new()
+        .parse_offsets(out.arena(), out.offsets(), &mut back)
+        .expect("printed text parses");
+    for (i, (v, b)) in values.iter().zip(&back).enumerate() {
+        assert_eq!(b.to_bits(), v.to_bits(), "index {i}: {:?}", out.get(i));
     }
-    let rate = accepted as f64 / total as f64;
-    assert!(
-        rate >= 0.99,
-        "fast tiers accepted only {accepted}/{total} ({rate:.4}) of shortest-printed doubles"
+    assert_eq!(
+        round_trip_all(values.into_iter()),
+        0,
+        "fast tiers declined Schryer strings"
     );
 }
 

@@ -137,32 +137,33 @@ fn foreign_byte_at_every_window_offset() {
         if let Ok(s) = std::str::from_utf8(bytes) {
             check(s);
         }
-        // Every entry alone, through both batch paths.
+        // Every entry alone, through the batch path and the oracle.
         let offsets = [0, bytes.len() as u32];
         assert_eq!(
-            parse(&serial(true), bytes, &offsets),
-            parse(&serial(false), bytes, &offsets),
+            parse(&serial(), bytes, &offsets),
+            oracle(bytes, &offsets),
             "{:?}",
             String::from_utf8_lossy(bytes)
         );
     }
 }
 
-fn serial(fast_path: bool) -> BatchParser {
+fn serial() -> BatchParser {
     BatchParser::with_options(BatchParseOptions {
         threads: Some(1),
-        fast_path,
         ..BatchParseOptions::default()
     })
 }
 
-fn sharded(fast_path: bool) -> BatchParser {
+fn sharded() -> BatchParser {
     BatchParser::with_options(BatchParseOptions {
         threads: Some(4),
         min_shard_len: 8,
-        fast_path,
     })
 }
+
+/// The batch parser's error message for an entry that is not UTF-8.
+const NOT_UTF8: &str = "invalid float literal: entry is not valid UTF-8";
 
 /// A batch result in comparable form: the values' bits, or the error's
 /// index and message.
@@ -172,6 +173,22 @@ fn parse(parser: &BatchParser, arena: &[u8], offsets: &[u32]) -> Result<Vec<u64>
         Ok(()) => Ok(out.iter().map(|v| v.to_bits()).collect()),
         Err(e) => Err((e.index, e.error.to_string())),
     }
+}
+
+/// What `parse_offsets` must return: every entry through `from_utf8` and
+/// the exact oracle, stopping at the lowest failing index.
+fn oracle(arena: &[u8], offsets: &[u32]) -> Result<Vec<u64>, (usize, String)> {
+    offsets
+        .windows(2)
+        .enumerate()
+        .map(|(i, w)| {
+            let text = std::str::from_utf8(&arena[w[0] as usize..w[1] as usize])
+                .map_err(|_| (i, NOT_UTF8.to_string()))?;
+            read_f64_exact(text)
+                .map(f64::to_bits)
+                .map_err(|e| (i, e.to_string()))
+        })
+        .collect()
 }
 
 /// Packs entries into one arena with fence-post offsets.
@@ -187,7 +204,6 @@ fn pack(entries: &[&[u8]]) -> (Vec<u8>, Vec<u32>) {
 
 #[test]
 fn invalid_utf8_entries_report_their_index() {
-    const NOT_UTF8: &str = "invalid float literal: entry is not valid UTF-8";
     for bad in [
         &b"1.5\xff"[..],
         b"12\xb045678",          // inside an otherwise valid 8-digit chunk
@@ -202,10 +218,12 @@ fn invalid_utf8_entries_report_their_index() {
                 entries[99] = b"bogus";
             }
             let (arena, offsets) = pack(&entries);
-            for parser in [serial(true), serial(false), sharded(true), sharded(false)] {
+            let expected = Err((at, NOT_UTF8.to_string()));
+            assert_eq!(oracle(&arena, &offsets), expected);
+            for parser in [serial(), sharded()] {
                 assert_eq!(
                     parse(&parser, &arena, &offsets),
-                    Err((at, NOT_UTF8.to_string())),
+                    expected,
                     "{:?} at {at}, {:?}",
                     String::from_utf8_lossy(bad),
                     parser.options()

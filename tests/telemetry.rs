@@ -171,6 +171,16 @@ fn live_counters_agree_with_offline_recount() {
     );
     assert!(snap.get(Counter::BatchStitchBytes) > 0);
     assert_eq!(
+        snap.get(Counter::CoreFastPathHits),
+        column.len() as u64,
+        "the shortest tier answers every sharded value"
+    );
+    assert_eq!(
+        snap.get(Counter::CoreFastPathFallbacks) + snap.get(Counter::CoreConversions),
+        0,
+        "exact engine idle in the sharded pass"
+    );
+    assert_eq!(
         snap.shard_len_log2.iter().sum::<u64>(),
         snap.get(Counter::BatchShardsRun),
         "shard histogram mass equals shard count"
@@ -201,7 +211,6 @@ fn live_counters_agree_with_offline_recount() {
     let sharded_parser = fpp::BatchParser::with_options(fpp::BatchParseOptions {
         threads: Some(3),
         min_shard_len: 1,
-        fast_path: true,
     });
     sharded_parser.parse_f64s(&strings).expect("valid column");
     let snap = TelemetrySnapshot::capture();
