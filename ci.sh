@@ -10,6 +10,9 @@ cargo fmt --all -- --check
 echo "== clippy =="
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== rustdoc: no warnings, so links to deleted items fail =="
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 echo "== build (release) =="
 cargo build --workspace --release
 
@@ -21,6 +24,9 @@ cargo test --release -q --test alloc_count
 
 echo "== batch parity (release) =="
 cargo test --release -q --test batch_parity
+
+echo "== digit stream vs rational oracle, every positive F16 (release) =="
+cargo test --release -q --test sink_parity
 
 echo "== shortest tier: parity tests (release) =="
 # Byte-for-byte parity of the shortest tier against the exact engine: the

@@ -1,11 +1,11 @@
 //! The batch engine itself: a [`BatchFormatter`] owning every piece of
 //! reusable state one column conversion needs.
 //!
-//! The formatter holds one warm [`DtoaContext`] and — under the `parallel`
-//! feature — a pool of shard workers, each with its own context. Formatting
-//! a slice walks it once, writing each value through the shortest tier
-//! straight into the arena. After a first warming batch, none of this
-//! touches the allocator (asserted by the root crate's `alloc_count` test).
+//! The formatter holds one warm [`DtoaContext`] and a pool of shard
+//! workers, each with its own context. Formatting a slice walks it once,
+//! writing each value through the shortest tier straight into the arena.
+//! After a first warming batch, none of this touches the allocator
+//! (asserted by the root crate's `alloc_count` test).
 
 use crate::output::BatchOutput;
 use fpp_core::{DtoaContext, FreeFormat};
@@ -14,7 +14,7 @@ use fpp_float::FloatFormat;
 /// Tuning knobs for a [`BatchFormatter`].
 #[derive(Debug, Clone)]
 pub struct BatchOptions {
-    /// Upper bound on shard threads for the `parallel` path. `None` asks
+    /// Upper bound on shard threads for the sharded path. `None` asks
     /// the OS ([`std::thread::available_parallelism`]). The engine never
     /// spawns more shards than the input justifies (see `min_shard_len`).
     pub threads: Option<usize>,
@@ -69,7 +69,6 @@ pub struct BatchFormatter {
     format: FreeFormat,
     ctx: DtoaContext,
     opts: BatchOptions,
-    #[cfg(feature = "parallel")]
     workers: Vec<ShardWorker>,
 }
 
@@ -95,7 +94,6 @@ impl BatchFormatter {
             format: FreeFormat::new(),
             ctx,
             opts,
-            #[cfg(feature = "parallel")]
             workers: Vec::new(),
         }
     }
@@ -153,110 +151,102 @@ fn format_slice<F: FloatFormat>(
     }
 }
 
-#[cfg(feature = "parallel")]
-pub(crate) use parallel::ShardWorker;
+/// One shard's private working set: a context and an output segment,
+/// both retained across batches so the steady state allocates nothing
+/// inside the workers either.
+#[derive(Debug)]
+struct ShardWorker {
+    ctx: DtoaContext,
+    out: BatchOutput,
+}
 
-#[cfg(feature = "parallel")]
-mod parallel {
-    use super::*;
-
-    /// One shard's private working set: a context and an output segment,
-    /// both retained across batches so the steady state allocates nothing
-    /// inside the workers either.
-    #[derive(Debug)]
-    pub(crate) struct ShardWorker {
-        ctx: DtoaContext,
-        out: BatchOutput,
-    }
-
-    impl ShardWorker {
-        fn new() -> Self {
-            let mut ctx = DtoaContext::new(10);
-            ctx.warm_up();
-            ShardWorker {
-                ctx,
-                out: BatchOutput::new(),
-            }
+impl ShardWorker {
+    fn new() -> Self {
+        let mut ctx = DtoaContext::new(10);
+        ctx.warm_up();
+        ShardWorker {
+            ctx,
+            out: BatchOutput::new(),
         }
     }
+}
 
-    impl BatchFormatter {
-        /// Formats a column of `f64`s into `out` across shard threads.
-        ///
-        /// The input is split into contiguous chunks, one per shard; each
-        /// shard converts its chunk into a private arena with a private
-        /// context, and the segments are stitched back in input
-        /// order — so the output is byte-identical to [`Self::format_f64s`]
-        /// regardless of thread count, including on a single-core host.
-        /// Inputs shorter than twice [`BatchOptions::min_shard_len`] take
-        /// the serial path unchanged.
-        pub fn format_f64s_sharded(&mut self, values: &[f64], out: &mut BatchOutput) {
-            self.format_sharded(values, out, |w, format, chunk| {
-                format_slice(format, &mut w.ctx, chunk, &mut w.out);
+impl BatchFormatter {
+    /// Formats a column of `f64`s into `out` across shard threads.
+    ///
+    /// The input is split into contiguous chunks, one per shard; each
+    /// shard converts its chunk into a private arena with a private
+    /// context, and the segments are stitched back in input
+    /// order — so the output is byte-identical to [`Self::format_f64s`]
+    /// regardless of thread count, including on a single-core host.
+    /// Inputs shorter than twice [`BatchOptions::min_shard_len`] take
+    /// the serial path unchanged.
+    pub fn format_f64s_sharded(&mut self, values: &[f64], out: &mut BatchOutput) {
+        self.format_sharded(values, out, |w, format, chunk| {
+            format_slice(format, &mut w.ctx, chunk, &mut w.out);
+        });
+    }
+
+    /// Formats a column of `f32`s into `out` across shard threads (see
+    /// [`Self::format_f64s_sharded`] for the splitting/stitching rules).
+    pub fn format_f32s_sharded(&mut self, values: &[f32], out: &mut BatchOutput) {
+        self.format_sharded(values, out, |w, format, chunk| {
+            format_slice(format, &mut w.ctx, chunk, &mut w.out);
+        });
+    }
+
+    /// Shard count for an input of `len` values: bounded by the thread
+    /// budget and by `len / min_shard_len` so short columns do not pay
+    /// for threads they cannot feed.
+    fn shard_count(&self, len: usize) -> usize {
+        let budget = self.opts.threads.unwrap_or_else(|| {
+            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+        });
+        let fed = len / self.opts.min_shard_len.max(1);
+        budget.max(1).min(fed.max(1))
+    }
+
+    fn format_sharded<F: Copy + Send + Sync>(
+        &mut self,
+        values: &[F],
+        out: &mut BatchOutput,
+        run: impl Fn(&mut ShardWorker, &FreeFormat, &[F]) + Send + Sync,
+    ) {
+        let shards = self.shard_count(values.len());
+        let chunk_len = values.len().div_ceil(shards.max(1)).max(1);
+        let used = values.len().div_ceil(chunk_len.max(1)).max(1);
+        while self.workers.len() < used {
+            self.workers.push(ShardWorker::new());
+        }
+        fpp_telemetry::record_sharded_batch(used);
+        let format = &self.format;
+        let workers = &mut self.workers[..used];
+        if used == 1 {
+            // One shard: run inline, skipping thread spawn entirely.
+            fpp_telemetry::record_shard(values.len());
+            run(&mut workers[0], format, values);
+        } else {
+            std::thread::scope(|scope| {
+                for (worker, chunk) in workers.iter_mut().zip(values.chunks(chunk_len)) {
+                    let run = &run;
+                    scope.spawn(move || {
+                        // Each worker reports into its own thread-local
+                        // telemetry block; the explicit flush drains it
+                        // into the global aggregate before the scope
+                        // unblocks (TLS destructors alone can race the
+                        // scope exit).
+                        fpp_telemetry::record_shard(chunk.len());
+                        run(worker, format, chunk);
+                        fpp_telemetry::flush_thread();
+                    });
+                }
             });
         }
-
-        /// Formats a column of `f32`s into `out` across shard threads (see
-        /// [`Self::format_f64s_sharded`] for the splitting/stitching rules).
-        pub fn format_f32s_sharded(&mut self, values: &[f32], out: &mut BatchOutput) {
-            self.format_sharded(values, out, |w, format, chunk| {
-                format_slice(format, &mut w.ctx, chunk, &mut w.out);
-            });
+        out.begin();
+        for worker in self.workers[..used].iter() {
+            out.append_shifted(&worker.out);
         }
-
-        /// Shard count for an input of `len` values: bounded by the thread
-        /// budget and by `len / min_shard_len` so short columns do not pay
-        /// for threads they cannot feed.
-        fn shard_count(&self, len: usize) -> usize {
-            let budget = self.opts.threads.unwrap_or_else(|| {
-                std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-            });
-            let fed = len / self.opts.min_shard_len.max(1);
-            budget.max(1).min(fed.max(1))
-        }
-
-        fn format_sharded<F: Copy + Send + Sync>(
-            &mut self,
-            values: &[F],
-            out: &mut BatchOutput,
-            run: impl Fn(&mut ShardWorker, &FreeFormat, &[F]) + Send + Sync,
-        ) {
-            let shards = self.shard_count(values.len());
-            let chunk_len = values.len().div_ceil(shards.max(1)).max(1);
-            let used = values.len().div_ceil(chunk_len.max(1)).max(1);
-            while self.workers.len() < used {
-                self.workers.push(ShardWorker::new());
-            }
-            fpp_telemetry::record_sharded_batch(used);
-            let format = &self.format;
-            let workers = &mut self.workers[..used];
-            if used == 1 {
-                // One shard: run inline, skipping thread spawn entirely.
-                fpp_telemetry::record_shard(values.len());
-                run(&mut workers[0], format, values);
-            } else {
-                std::thread::scope(|scope| {
-                    for (worker, chunk) in workers.iter_mut().zip(values.chunks(chunk_len)) {
-                        let run = &run;
-                        scope.spawn(move || {
-                            // Each worker reports into its own thread-local
-                            // telemetry block; the explicit flush drains it
-                            // into the global aggregate before the scope
-                            // unblocks (TLS destructors alone can race the
-                            // scope exit).
-                            fpp_telemetry::record_shard(chunk.len());
-                            run(worker, format, chunk);
-                            fpp_telemetry::flush_thread();
-                        });
-                    }
-                });
-            }
-            out.begin();
-            for worker in self.workers[..used].iter() {
-                out.append_shifted(&worker.out);
-            }
-            fpp_telemetry::record_stitch_bytes(out.total_bytes());
-        }
+        fpp_telemetry::record_stitch_bytes(out.total_bytes());
     }
 }
 
@@ -310,7 +300,6 @@ mod tests {
         assert_eq!(sink, b"9.97-1e23");
     }
 
-    #[cfg(feature = "parallel")]
     #[test]
     fn sharded_output_is_identical_to_serial() {
         let values: Vec<f64> = (0..5000).map(|i| i as f64 * 0.37 - 900.0).collect();

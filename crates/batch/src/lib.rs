@@ -17,11 +17,11 @@
 //!    [`BatchOutput`] arena with a `u32` offsets table, instead of a
 //!    million `String`s.
 //!
-//! With the `parallel` feature (default), [`BatchFormatter::format_f64s_sharded`]
-//! splits the input into cache-friendly chunks across scoped threads — each
-//! shard with its own context — and stitches the segments back in
-//! input order, so output is **deterministic and byte-identical to the
-//! serial path** at any thread count.
+//! [`BatchFormatter::format_f64s_sharded`] splits the input into
+//! cache-friendly chunks across scoped threads — each shard with its own
+//! context — and stitches the segments back in input order, so output is
+//! **deterministic and byte-identical to the serial path** at any thread
+//! count.
 //!
 //! ```
 //! use fpp_batch::{BatchFormatter, BatchOutput};

@@ -17,6 +17,7 @@
 
 use crate::scale::InitialState;
 use fpp_bignum::Nat;
+use fpp_telemetry::Termination;
 
 /// Tie-breaking strategy for the final digit when both candidate outputs are
 /// exactly equidistant from `v` (§2.2 permits any choice; Figure 1 rounds
@@ -85,69 +86,17 @@ pub(crate) fn generate_into(
     sum: &mut Nat,
 ) {
     debug_assert!((2..=36).contains(&base));
-    if generate_u64(state, base, inc, tie, digits) {
-        return;
-    }
     let start = digits.len();
     let term = loop {
-        let q = state.r.div_rem_step(&state.s);
-        let d = q as u8;
-        debug_assert!((d as u64) < base, "digit out of range");
-        if fpp_telemetry::ENABLED && digits.len() == start && q >= base {
-            // First quotient ≥ B: the scaling estimate undershot by more
-            // than one, breaking the §3.2 contract (Theorem 1 is void).
+        let (d, end) = next_digit(state, base, inc, tie, sum);
+        if fpp_telemetry::ENABLED && digits.len() == start && d >= base {
+            // A first digit ≥ B (quotient or carry): the scaling estimate
+            // undershot, breaking the §3.2 contract (Theorem 1 is void).
             fpp_telemetry::record_scale_violation();
         }
-        let tc1 = if inc.low_ok {
-            state.r <= state.m_minus
-        } else {
-            state.r < state.m_minus
-        };
-        sum.set_sum(&state.r, &state.m_plus);
-        let tc2 = if inc.high_ok {
-            *sum >= state.s
-        } else {
-            *sum > state.s
-        };
-        match (tc1, tc2) {
-            (false, false) => {
-                digits.push(d);
-                state.r.mul_u64(base);
-                state.m_plus.mul_u64(base);
-                state.m_minus.mul_u64(base);
-            }
-            (true, false) => {
-                digits.push(d);
-                state.r.assign(sum); // r ← r + m⁺
-                break fpp_telemetry::Termination::Low;
-            }
-            (false, true) => {
-                digits.push(d + 1);
-                debug_assert!(((d + 1) as u64) < base, "increment carried (Theorem 1)");
-                state.r.assign(sum);
-                state.r -= &state.s; // r ← r + m⁺ − s
-                break fpp_telemetry::Termination::High;
-            }
-            (true, true) => {
-                // Both candidates read back as v; pick the closer
-                // (2r vs s compares v − V_down against V_up − v).
-                let round_up = match state.r.double_cmp(&state.s) {
-                    std::cmp::Ordering::Less => false,
-                    std::cmp::Ordering::Greater => true,
-                    std::cmp::Ordering::Equal => tie.rounds_up(d),
-                };
-                state.r.assign(sum);
-                if round_up {
-                    digits.push(d + 1);
-                    debug_assert!(((d + 1) as u64) < base, "increment carried (Theorem 1)");
-                    state.r -= &state.s;
-                } else {
-                    digits.push(d);
-                }
-                break fpp_telemetry::Termination::Tie {
-                    rounded_up: round_up,
-                };
-            }
+        digits.push(d as u8);
+        if let Some(term) = end {
+            break term;
         }
     };
     if fpp_telemetry::ENABLED {
@@ -160,108 +109,61 @@ pub(crate) fn generate_into(
     }
 }
 
-/// The register's single limb, treating the empty (zero) representation as
-/// `0`; `None` when more than one limb is live.
-fn single_limb(n: &Nat) -> Option<u64> {
-    match n.limbs() {
-        [] => Some(0),
-        &[l] => Some(l),
-        _ => None,
-    }
-}
-
-/// Single-limb specialization of the digit loop: when `r`, `s`, `m⁺`, `m⁻`
-/// all fit one limb with enough headroom, the whole loop runs on plain
-/// `u64` arithmetic — no limb vectors, no carries. For base 10 this covers
-/// the common mid-range window (roughly `0.03 ≤ v ≤ 10¹⁷` for `f64`).
+/// One pass of the loop body: extracts the next digit and applies both
+/// termination tests. Returns the digit and, on the final digit, why the
+/// loop stopped — with `state` then left as [`generate_into`] documents.
+/// Otherwise `r`, `m⁺` and `m⁻` are scaled by `base` for the next position.
 ///
-/// Semantics are identical to the big-integer loop, including telemetry
-/// and the exit contract (`state.r` ← gap to `high`, `s` unchanged, `m±`
-/// scaled). Returns `false` without touching anything when the gate fails.
-///
-/// Headroom proof for the gate `s ≤ 2⁶² / base`, `r, m⁺, m⁻ ≤ 2⁶²`: after
-/// the first iteration `r < s`, so every `× base` product stays ≤ 2⁶² and
-/// every sum `r + m⁺` stays ≤ 2⁶³; `2·r` in the tie comparison is bounded
-/// the same way.
-fn generate_u64(
+/// The digit is returned unnarrowed so that a broken scaling contract shows
+/// as a value ≥ `base` instead of wrapping.
+pub(crate) fn next_digit(
     state: &mut InitialState,
     base: u64,
     inc: Inclusivity,
     tie: TieBreak,
-    digits: &mut Vec<u8>,
-) -> bool {
-    const CAP: u64 = 1 << 62;
-    let (Some(mut r), Some(s), Some(mut mp), Some(mut mm)) = (
-        single_limb(&state.r),
-        single_limb(&state.s),
-        single_limb(&state.m_plus),
-        single_limb(&state.m_minus),
-    ) else {
-        return false;
+    sum: &mut Nat,
+) -> (u64, Option<Termination>) {
+    let d = state.r.div_rem_step(&state.s);
+    debug_assert!(d < base, "digit out of range");
+    let tc1 = if inc.low_ok {
+        state.r <= state.m_minus
+    } else {
+        state.r < state.m_minus
     };
-    if s == 0 || s > CAP / base || r > CAP || mp > CAP || mm > CAP {
-        return false;
-    }
-    let start = digits.len();
-    let term = loop {
-        let q = r / s;
-        let d = q as u8;
-        r %= s;
-        debug_assert!(q < base, "digit out of range");
-        if fpp_telemetry::ENABLED && digits.len() == start && q >= base {
-            fpp_telemetry::record_scale_violation();
+    sum.set_sum(&state.r, &state.m_plus);
+    let tc2 = if inc.high_ok {
+        *sum >= state.s
+    } else {
+        *sum > state.s
+    };
+    let (round_up, term) = match (tc1, tc2) {
+        (false, false) => {
+            state.r.mul_u64(base);
+            state.m_plus.mul_u64(base);
+            state.m_minus.mul_u64(base);
+            return (d, None);
         }
-        let tc1 = if inc.low_ok { r <= mm } else { r < mm };
-        let sum = r + mp;
-        let tc2 = if inc.high_ok { sum >= s } else { sum > s };
-        match (tc1, tc2) {
-            (false, false) => {
-                digits.push(d);
-                r *= base;
-                mp *= base;
-                mm *= base;
-            }
-            (true, false) => {
-                digits.push(d);
-                r = sum; // r ← r + m⁺
-                break fpp_telemetry::Termination::Low;
-            }
-            (false, true) => {
-                digits.push(d + 1);
-                debug_assert!(((d + 1) as u64) < base, "increment carried (Theorem 1)");
-                r = sum - s; // r ← r + m⁺ − s
-                break fpp_telemetry::Termination::High;
-            }
-            (true, true) => {
-                let round_up = match (2 * r).cmp(&s) {
-                    std::cmp::Ordering::Less => false,
-                    std::cmp::Ordering::Greater => true,
-                    std::cmp::Ordering::Equal => tie.rounds_up(d),
-                };
-                if round_up {
-                    digits.push(d + 1);
-                    debug_assert!(((d + 1) as u64) < base, "increment carried (Theorem 1)");
-                    r = sum - s;
-                } else {
-                    digits.push(d);
-                    r = sum;
-                }
-                break fpp_telemetry::Termination::Tie {
-                    rounded_up: round_up,
-                };
-            }
+        (true, false) => (false, Termination::Low),
+        (false, true) => (true, Termination::High),
+        (true, true) => {
+            // Both candidates read back as v; pick the closer
+            // (2r vs s compares v − V_down against V_up − v).
+            let rounded_up = match state.r.double_cmp(&state.s) {
+                std::cmp::Ordering::Less => false,
+                std::cmp::Ordering::Greater => true,
+                std::cmp::Ordering::Equal => tie.rounds_up(d as u8),
+            };
+            (rounded_up, Termination::Tie { rounded_up })
         }
     };
-    state.r.assign_u64(r);
-    state.m_plus.assign_u64(mp);
-    state.m_minus.assign_u64(mm);
-    if fpp_telemetry::ENABLED {
-        fpp_telemetry::record_generation(digits.len() - start, term);
-        if digits[start] == 0 {
-            fpp_telemetry::record_scale_violation();
-        }
+    state.r.assign(sum); // r ← r + m⁺
+    if round_up {
+        debug_assert!(d + 1 < base, "increment carried (Theorem 1)");
+        state.r -= &state.s; // r ← r + m⁺ − s
+        (d + 1, Some(term))
+    } else {
+        (d, Some(term))
     }
-    true
 }
 
 #[cfg(test)]

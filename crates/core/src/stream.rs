@@ -4,11 +4,13 @@
 //! to propagate carries" — which means output can be *streamed*: each digit
 //! is final the moment it is produced. [`DigitStream`] exposes that
 //! property, letting callers emit digits into a sink without allocating the
-//! full vector ([`crate::free_format_digits`] remains the batch API).
+//! full vector ([`crate::free_format_digits`] remains the batch API). Each
+//! call to `next` runs one pass of the same loop body the batch API loops
+//! over, so the two agree digit for digit by construction.
 
-use crate::generate::{Inclusivity, TieBreak};
-use crate::scale::{initial_state, ScaledState, ScalingStrategy};
-use fpp_bignum::{Nat, PowerTable};
+use crate::generate::{next_digit, Inclusivity, TieBreak};
+use crate::scale::{initial_state, InitialState, ScalingStrategy};
+use fpp_bignum::{Nat, PowerTable, Scratch};
 use fpp_float::{RoundingMode, SoftFloat};
 
 /// A lazily evaluated stream of free-format digits for a positive value:
@@ -29,10 +31,7 @@ use fpp_float::{RoundingMode, SoftFloat};
 /// ```
 #[derive(Debug, Clone)]
 pub struct DigitStream {
-    r: Nat,
-    s: Nat,
-    m_plus: Nat,
-    m_minus: Nat,
+    state: InitialState,
     /// Recycled buffer for the per-digit `r + m⁺` termination test.
     sum: Nat,
     base: u64,
@@ -60,18 +59,9 @@ impl DigitStream {
     ) -> Self {
         let mut state = initial_state(v);
         let inc = crate::free::apply_rounding_mode(&mut state, v, rounding);
-        let ScaledState {
-            r,
-            s,
-            m_plus,
-            m_minus,
-            k,
-        } = strategy.scale(state, v, inc.high_ok, powers);
+        let k = strategy.scale_in(&mut state, v, inc.high_ok, powers, &mut Scratch::new());
         DigitStream {
-            r,
-            s,
-            m_plus,
-            m_minus,
+            state,
             sum: Nat::zero(),
             base: powers.base(),
             inc,
@@ -101,47 +91,15 @@ impl Iterator for DigitStream {
         if self.done {
             return None;
         }
-        let d = self.r.div_rem_step(&self.s) as u8;
-        let tc1 = if self.inc.low_ok {
-            self.r <= self.m_minus
-        } else {
-            self.r < self.m_minus
-        };
-        self.sum.set_sum(&self.r, &self.m_plus);
-        let tc2 = if self.inc.high_ok {
-            self.sum >= self.s
-        } else {
-            self.sum > self.s
-        };
-        match (tc1, tc2) {
-            (false, false) => {
-                self.r.mul_u64(self.base);
-                self.m_plus.mul_u64(self.base);
-                self.m_minus.mul_u64(self.base);
-                Some(d)
-            }
-            (true, false) => {
-                self.done = true;
-                Some(d)
-            }
-            (false, true) => {
-                self.done = true;
-                Some(d + 1)
-            }
-            (true, true) => {
-                self.done = true;
-                let round_up = match self.r.double_cmp(&self.s) {
-                    std::cmp::Ordering::Less => false,
-                    std::cmp::Ordering::Greater => true,
-                    std::cmp::Ordering::Equal => match self.tie {
-                        TieBreak::Up => true,
-                        TieBreak::Down => false,
-                        TieBreak::Even => d % 2 == 1,
-                    },
-                };
-                Some(if round_up { d + 1 } else { d })
-            }
-        }
+        let (d, end) = next_digit(
+            &mut self.state,
+            self.base,
+            self.inc,
+            self.tie,
+            &mut self.sum,
+        );
+        self.done = end.is_some();
+        Some(d as u8)
     }
 }
 

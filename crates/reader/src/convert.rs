@@ -1,10 +1,13 @@
-//! Exact big-integer conversion of a parsed literal to a correctly rounded
-//! hardware float (Clinger's AlgorithmM/AlgorithmR family).
+//! Conversion of a literal to a correctly rounded hardware float: the fast
+//! tiers (Clinger's one-operation path, then Eisel–Lemire) over a scanned
+//! decimal, and the exact route, which is the binary instance of the
+//! format-generic converter behind [`crate::read_soft`].
 
 use crate::fast::fast_path;
 use crate::lemire::eisel_lemire;
 use crate::parse::Literal;
 use crate::scan::ScannedDecimal;
+use crate::soft::{round_to_format, Rounded, SoftFormat};
 use fpp_bignum::Nat;
 use fpp_float::{FloatFormat, RoundingMode};
 use fpp_telemetry::ReadPath;
@@ -43,7 +46,21 @@ pub fn decimal_to_float<F: FloatFormat>(lit: &Literal, base: u64, rounding: Roun
         return F::encode(parts.negative, 0, 0);
     }
     fpp_telemetry::record_read(ReadPath::Exact);
-    convert_exact::<F>(parts, base, rounding)
+    let format = SoftFormat {
+        base: 2,
+        precision: F::PRECISION,
+        min_exp: F::MIN_EXP,
+        max_exp: F::MAX_EXP,
+    };
+    match round_to_format(parts, base, rounding, &format) {
+        Rounded::Zero => F::encode(parts.negative, 0, 0),
+        Rounded::Finite(f, e) => F::encode(
+            parts.negative,
+            u64::try_from(&f).expect("significand fits u64 for p <= 64"),
+            e,
+        ),
+        Rounded::Overflow => F::infinity(parts.negative),
+    }
 }
 
 /// Converts a scanned base-10 literal to `f64` through the fast tiers
@@ -123,155 +140,6 @@ fn reencode<H: FloatFormat, F: FloatFormat>(v: H) -> F {
         // Eisel–Lemire reports certain overflow as infinity.
         fpp_float::Decoded::Infinite { negative } => F::infinity(negative),
         fpp_float::Decoded::Nan => unreachable!("fast tiers never produce NaN"),
-    }
-}
-
-/// The exact path: scaled division with sticky-aware rounding.
-fn convert_exact<F: FloatFormat>(parts: &DecimalParts, base: u64, rounding: RoundingMode) -> F {
-    let neg = parts.negative;
-    let p = F::PRECISION;
-    let min_e = F::MIN_EXP;
-    let max_e = F::MAX_EXP;
-
-    // Magnitude screen: log2(value) = log2(digits) + exponent·log2(base).
-    // Values that are out of range by a wide margin skip the big arithmetic
-    // (the exponent may be astronomically large).
-    let log2_base = (base as f64).log2();
-    let approx_log2 = parts.digits.bit_len() as f64 + parts.exponent as f64 * log2_base;
-    if approx_log2 > (max_e + p as i32) as f64 + 8.0 {
-        return overflow::<F>(neg, rounding);
-    }
-    if approx_log2 < (min_e - 8) as f64 {
-        return underflow::<F>(neg, rounding, /*exactly_zero=*/ false);
-    }
-
-    // num/den = |value| exactly.
-    let (num, den) = if parts.exponent >= 0 {
-        let scale = Nat::from(base).pow(u32::try_from(parts.exponent).expect("screened"));
-        (&parts.digits * &scale, Nat::one())
-    } else {
-        let scale = Nat::from(base).pow(u32::try_from(-parts.exponent).expect("screened"));
-        (parts.digits.clone(), scale)
-    };
-    if num.is_zero() {
-        // All retained digits were zero but truncation dropped non-zeros:
-        // the value is a positive infinitesimal for rounding purposes.
-        return underflow::<F>(neg, rounding, false);
-    }
-
-    // Find e with q = ⌊num / (den·2^e)⌋ in [2^(p−1), 2^p), or e = min_e.
-    let mut e = num.bit_len() as i64 - den.bit_len() as i64 - p as i64;
-    e = e.max(min_e as i64);
-    let (mut q, mut rem, mut eff_den) = divide_at(&num, &den, e);
-    // Adjust downward while too small (at most a couple of iterations).
-    while e > min_e as i64 && q.bit_len() < p as u64 {
-        e -= 1;
-        (q, rem, eff_den) = divide_at(&num, &den, e);
-    }
-    // Adjust upward while too large.
-    while q.bit_len() > p as u64 {
-        e += 1;
-        (q, rem, eff_den) = divide_at(&num, &den, e);
-    }
-
-    // Round the quotient per the mode, with the sticky flag standing in for
-    // the dropped tail.
-    let sticky = parts.truncated;
-    let exact = rem.is_zero() && !sticky;
-    let round_up = if exact {
-        false
-    } else {
-        match rounding {
-            RoundingMode::TowardZero => false,
-            RoundingMode::AwayFromZero => true,
-            RoundingMode::NearestEven
-            | RoundingMode::Conservative
-            | RoundingMode::NearestAwayFromZero
-            | RoundingMode::NearestTowardZero => {
-                let twice = rem.mul_u64_ref(2);
-                match twice.cmp(&eff_den) {
-                    std::cmp::Ordering::Less => false,
-                    std::cmp::Ordering::Greater => true,
-                    std::cmp::Ordering::Equal => {
-                        if sticky {
-                            true // the dropped tail pushes past the midpoint
-                        } else {
-                            match rounding {
-                                RoundingMode::NearestEven | RoundingMode::Conservative => {
-                                    !q.is_even()
-                                }
-                                RoundingMode::NearestAwayFromZero => true,
-                                RoundingMode::NearestTowardZero => false,
-                                _ => unreachable!(),
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    };
-    if round_up {
-        q.add_u64(1);
-        if q.bit_len() > p as u64 {
-            // Carried into a new bit: renormalize (q = 2^p → 2^(p−1)).
-            q >>= 1;
-            e += 1;
-        }
-    }
-
-    if q.is_zero() {
-        return underflow::<F>(neg, rounding, exact);
-    }
-    if e > max_e as i64 {
-        return overflow::<F>(neg, rounding);
-    }
-    let mantissa = u64::try_from(&q).expect("mantissa fits u64 for p <= 64");
-    F::encode(neg, mantissa, e as i32)
-}
-
-/// `(q, rem, eff_den)` with `num = q·eff_den·... `: divides `num` by
-/// `den·2^e`, returning the effective denominator for remainder comparisons.
-fn divide_at(num: &Nat, den: &Nat, e: i64) -> (Nat, Nat, Nat) {
-    if e >= 0 {
-        let eff = den << u32::try_from(e).expect("exponent fits");
-        let (q, rem) = num.div_rem(&eff);
-        (q, rem, eff)
-    } else {
-        let shifted = num << u32::try_from(-e).expect("exponent fits");
-        let (q, rem) = shifted.div_rem(den);
-        (q, rem, den.clone())
-    }
-}
-
-fn overflow<F: FloatFormat>(neg: bool, rounding: RoundingMode) -> F {
-    match rounding {
-        RoundingMode::TowardZero => {
-            let m = F::max_finite();
-            if neg {
-                negate::<F>(m)
-            } else {
-                m
-            }
-        }
-        _ => F::infinity(neg),
-    }
-}
-
-fn underflow<F: FloatFormat>(neg: bool, rounding: RoundingMode, exactly_zero: bool) -> F {
-    if !exactly_zero && matches!(rounding, RoundingMode::AwayFromZero) {
-        // Any non-zero magnitude rounds away to the smallest subnormal.
-        return F::encode(neg, 1, F::MIN_EXP);
-    }
-    F::encode(neg, 0, 0)
-}
-
-fn negate<F: FloatFormat>(v: F) -> F {
-    match v.decode() {
-        fpp_float::Decoded::Finite {
-            mantissa, exponent, ..
-        } => F::encode(true, mantissa, exponent),
-        fpp_float::Decoded::Zero { .. } => F::encode(true, 0, 0),
-        _ => v,
     }
 }
 

@@ -9,11 +9,25 @@
 //! round-trip guarantee can be verified entirely in-repo (`str::parse::<f64>`
 //! only covers base 10 with round-to-nearest-even).
 //!
-//! The implementation is the exact big-integer path: form the literal as a
-//! ratio `D × Bᵠ` of big naturals, locate the unique representable mantissa
-//! by scaled division, and round with an exact remainder comparison. A fast
-//! path (Gay's observation, cited in §5 of the printing paper) handles the
-//! common short-literal cases with two exact floating-point operations.
+//! A base-10 literal read under round-to-nearest-even takes four tiers in
+//! order, each handing what it cannot certify to the next:
+//!
+//! 1. **scan** — a `u64` scanner accepts plain decimal literals of at most
+//!    19 significant digits (longer ones are kept as a 19-digit prefix with
+//!    a sticky bit), with no allocation;
+//! 2. **Clinger** — the one-operation path (Gay's observation, cited in §5
+//!    of the printing paper): a short mantissa times an exactly
+//!    representable power of ten;
+//! 3. **Eisel–Lemire** — a 128-bit product with a table of truncated powers
+//!    of five, which either rounds correctly or declines;
+//! 4. **exact** — form the literal as a ratio `D × Bᵠ` of big naturals,
+//!    locate the unique representable mantissa by scaled division, and
+//!    round with an exact remainder comparison.
+//!
+//! Every other base and rounding mode, and every literal a tier declines,
+//! goes straight to the exact tier. It is one format-generic routine: the
+//! hardware formats are its binary instance, and [`read_soft`] reads into
+//! any [`SoftFormat`] through it.
 //!
 //! # Examples
 //!

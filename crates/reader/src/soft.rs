@@ -1,15 +1,17 @@
 //! Correctly rounded reading into arbitrary software float formats.
 //!
-//! Clinger's algorithm is generic in the target format; this module exposes
-//! that generality: a literal in any base 2–36 can be read into any
-//! [`SoftFloat`] format — any target base, precision and exponent range —
-//! correctly rounded under any [`RoundingMode`]. It is the read half that
-//! completes the round-trip story for the toy formats the test suite
-//! enumerates exhaustively (the hardware-format fast paths in
-//! [`crate::decimal_to_float`] are the specialisation to `b = 2`).
+//! Clinger's algorithm is generic in the target format, and this module
+//! holds the one exact converter the crate has: a literal in any base 2–36
+//! is read into any [`SoftFormat`] — any target base, precision and
+//! exponent range — correctly rounded under any [`RoundingMode`]. It is the
+//! read half that completes the round-trip story for the toy formats the
+//! test suite enumerates exhaustively, and with `base: 2` and a hardware
+//! format's precision and exponent range it is also the exact route of
+//! [`crate::decimal_to_float`] (a binary target shifts instead of
+//! multiplying by powers).
 
 use crate::parse::Literal;
-use crate::{parse_literal, ParseFloatError};
+use crate::{parse_literal, DecimalParts, ParseFloatError};
 use fpp_bignum::Nat;
 use fpp_float::{RoundingMode, SoftFloat};
 
@@ -76,24 +78,45 @@ pub fn read_soft(
     assert!(format.base >= 2, "format base must be >= 2");
     assert!(format.precision >= 1, "format precision must be >= 1");
     assert!(format.min_exp <= format.max_exp, "empty exponent range");
-    let literal = parse_literal(s, literal_base)?;
-    Ok(convert_soft(&literal, literal_base, rounding, format))
+    let parts = match parse_literal(s, literal_base)? {
+        Literal::Nan => return Ok((false, SoftReadResult::Overflow)),
+        Literal::Infinity { negative } => return Ok((negative, SoftReadResult::Overflow)),
+        Literal::Finite(parts) => parts,
+    };
+    let result = match round_to_format(&parts, literal_base, rounding, format) {
+        Rounded::Zero => SoftReadResult::Zero,
+        Rounded::Finite(f, e) => SoftReadResult::Finite(
+            SoftFloat::new(f, e, format.base, format.precision, format.min_exp)
+                .expect("normalized result satisfies the invariants"),
+        ),
+        Rounded::Overflow => SoftReadResult::Overflow,
+    };
+    Ok((parts.negative, result))
 }
 
-fn convert_soft(
-    lit: &Literal,
+/// A literal's magnitude rounded into a [`SoftFormat`].
+pub(crate) enum Rounded {
+    /// The magnitude rounded to zero.
+    Zero,
+    /// `f × baseᵉ`: `f` has `precision` digits, or fewer at `e = min_exp`.
+    Finite(Nat, i32),
+    /// The magnitude rounded past the largest representable value.
+    Overflow,
+}
+
+/// The exact converter: scaled division locates the unique representable
+/// significand, which is then rounded per `rounding` by an exact remainder
+/// comparison, with `parts.truncated` as the sticky bit for the dropped
+/// tail. [`RoundingMode::Conservative`] rounds as
+/// [`RoundingMode::NearestEven`]. The sign is the caller's.
+pub(crate) fn round_to_format(
+    parts: &DecimalParts,
     literal_base: u64,
     rounding: RoundingMode,
     format: &SoftFormat,
-) -> (bool, SoftReadResult) {
-    let parts = match lit {
-        Literal::Nan => return (false, SoftReadResult::Overflow),
-        Literal::Infinity { negative } => return (*negative, SoftReadResult::Overflow),
-        Literal::Finite(parts) => parts,
-    };
-    let neg = parts.negative;
+) -> Rounded {
     if parts.digits.is_zero() && !parts.truncated {
-        return (neg, SoftReadResult::Zero);
+        return Rounded::Zero;
     }
     let bt = format.base;
     let p = format.precision;
@@ -107,10 +130,10 @@ fn convert_soft(
     let max_log2 = (max_e as f64 + p as f64) * log2_bt;
     let min_log2 = min_e as f64 * log2_bt;
     if approx_log2 > max_log2 + 8.0 * log2_bt {
-        return (neg, overflow_result(rounding, format));
+        return overflow(rounding, format);
     }
     if approx_log2 < min_log2 - 8.0 * log2_bt {
-        return (neg, underflow_result(rounding, format));
+        return underflow(rounding, format);
     }
 
     // num/den = |value| exactly, in terms of the literal base.
@@ -122,15 +145,17 @@ fn convert_soft(
         (parts.digits.clone(), scale)
     };
     if num.is_zero() {
-        return (neg, underflow_result(rounding, format));
+        // All retained digits were zero but truncation dropped non-zeros:
+        // the value is a positive infinitesimal for rounding purposes.
+        return underflow(rounding, format);
     }
 
     // Find e with f = round(num / (den·btᵉ)) in [bt^(p−1), bt^p), or e = min_e.
     let mut e =
         ((num.bit_len() as f64 - den.bit_len() as f64) / log2_bt).floor() as i64 - i64::from(p);
     e = e.max(i64::from(min_e));
-    let bt_lo = Nat::from(bt).pow(p - 1);
-    let bt_hi = Nat::from(bt).pow(p);
+    let bt_lo = scale_up(&Nat::one(), bt, p - 1);
+    let bt_hi = bt_lo.mul_u64_ref(bt);
     let (mut f, mut rem, mut eff_den) = divide_at_base(&num, &den, bt, e);
     let mut guard = 0;
     while e > i64::from(min_e) && f < bt_lo {
@@ -162,7 +187,7 @@ fn convert_soft(
                     std::cmp::Ordering::Greater => true,
                     std::cmp::Ordering::Equal => {
                         if sticky {
-                            true
+                            true // the dropped tail pushes past the midpoint
                         } else {
                             match rounding {
                                 RoundingMode::NearestEven | RoundingMode::Conservative => {
@@ -179,68 +204,60 @@ fn convert_soft(
         }
     };
     if round_up {
-        f += &Nat::one();
+        f.add_u64(1);
         if f == bt_hi {
-            f = bt_lo.clone();
+            f = bt_lo;
             e += 1;
         }
     }
     if f.is_zero() {
-        return (neg, underflow_result(rounding, format));
+        return underflow(rounding, format);
     }
     if e > i64::from(max_e) {
-        return (neg, overflow_result(rounding, format));
+        return overflow(rounding, format);
     }
-    let value = SoftFloat::new(f, e as i32, bt, p, min_e)
-        .expect("normalized result satisfies the invariants");
-    (neg, SoftReadResult::Finite(value))
+    Rounded::Finite(f, e as i32)
+}
+
+/// `n × btᵇʸ`, by shifting for a binary target.
+fn scale_up(n: &Nat, bt: u64, by: u32) -> Nat {
+    if bt == 2 {
+        n << by
+    } else {
+        n * &Nat::from(bt).pow(by)
+    }
 }
 
 /// `f = ⌊num / (den·btᵉ)⌋` with remainder and effective denominator.
 fn divide_at_base(num: &Nat, den: &Nat, bt: u64, e: i64) -> (Nat, Nat, Nat) {
     if e >= 0 {
-        let eff = den * &Nat::from(bt).pow(u32::try_from(e).expect("fits"));
+        let eff = scale_up(den, bt, u32::try_from(e).expect("fits"));
         let (q, rem) = num.div_rem(&eff);
         (q, rem, eff)
     } else {
-        let scaled = num * &Nat::from(bt).pow(u32::try_from(-e).expect("fits"));
+        let scaled = scale_up(num, bt, u32::try_from(-e).expect("fits"));
         let (q, rem) = scaled.div_rem(den);
         (q, rem, den.clone())
     }
 }
 
-fn overflow_result(rounding: RoundingMode, format: &SoftFormat) -> SoftReadResult {
+/// Past the largest finite value: [`RoundingMode::TowardZero`] stops at it.
+fn overflow(rounding: RoundingMode, format: &SoftFormat) -> Rounded {
     match rounding {
-        RoundingMode::TowardZero => {
-            let f = Nat::from(format.base).pow(format.precision) - Nat::one();
-            SoftReadResult::Finite(
-                SoftFloat::new(
-                    f,
-                    format.max_exp,
-                    format.base,
-                    format.precision,
-                    format.min_exp,
-                )
-                .expect("max finite is valid"),
-            )
-        }
-        _ => SoftReadResult::Overflow,
+        RoundingMode::TowardZero => Rounded::Finite(
+            scale_up(&Nat::one(), format.base, format.precision) - Nat::one(),
+            format.max_exp,
+        ),
+        _ => Rounded::Overflow,
     }
 }
 
-fn underflow_result(rounding: RoundingMode, format: &SoftFormat) -> SoftReadResult {
+/// A non-zero magnitude below the format's reach:
+/// [`RoundingMode::AwayFromZero`] rounds it up to the smallest subnormal.
+fn underflow(rounding: RoundingMode, format: &SoftFormat) -> Rounded {
     match rounding {
-        RoundingMode::AwayFromZero => SoftReadResult::Finite(
-            SoftFloat::new(
-                Nat::one(),
-                format.min_exp,
-                format.base,
-                format.precision,
-                format.min_exp,
-            )
-            .expect("smallest subnormal is valid"),
-        ),
-        _ => SoftReadResult::Zero,
+        RoundingMode::AwayFromZero => Rounded::Finite(Nat::one(), format.min_exp),
+        _ => Rounded::Zero,
     }
 }
 

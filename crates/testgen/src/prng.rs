@@ -1,7 +1,7 @@
 //! A small vendored PRNG so the workload generators stay deterministic
 //! without pulling `rand` from a registry.
 //!
-//! [`SplitMix64`] (Steele, Lea & Flood 2014) expands a 64-bit seed into the
+//! `SplitMix64` (Steele, Lea & Flood 2014) expands a 64-bit seed into the
 //! state of [`Xoshiro256pp`] (Blackman & Vigna 2019, `xoshiro256++`), the
 //! same seeding discipline `rand`'s `StdRng` family documents. Statistical
 //! quality is far beyond what bit-pattern sampling needs; the point here is

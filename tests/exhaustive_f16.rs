@@ -7,6 +7,7 @@
 //! (bfloat16), output condition 1 and output condition 2 of §2.2 hold for
 //! all 2¹⁶ bit patterns with no sampling.
 
+use fpp::bignum::Nat;
 use fpp::core::{FreeFormat, Notation};
 use fpp::float::{Bf16, Decoded, FloatFormat, RoundingMode, F16};
 use fpp::reader::read_float;
@@ -107,4 +108,101 @@ fn f16_shortest_digit_statistics() {
         max_len = max_len.max(digits);
     }
     assert_eq!(max_len, 5);
+}
+
+/// Every reader rounding mode; the expectation tables below follow this
+/// order.
+const MODES: [RoundingMode; 6] = [
+    RoundingMode::NearestEven,
+    RoundingMode::Conservative,
+    RoundingMode::NearestAwayFromZero,
+    RoundingMode::NearestTowardZero,
+    RoundingMode::TowardZero,
+    RoundingMode::AwayFromZero,
+];
+
+/// The exact decimal text of `n × 2^e`.
+fn exact_decimal(n: u64, e: i32) -> String {
+    let n = Nat::from(n);
+    if e >= 0 {
+        (n << e.unsigned_abs()).to_string()
+    } else {
+        format!("{}e{e}", n * Nat::from(5u64).pow(e.unsigned_abs()))
+    }
+}
+
+/// For every two adjacent positive finite values `lo < hi`, reads the exact
+/// decimal text of their midpoint and of the points one 2⁻¹² ulp either
+/// side of it, with both signs, under all six rounding modes, and checks
+/// the neighbour each mode must pick. Only the exact reader answers these
+/// (the fast tiers cover `f32`/`f64` only), so this covers the binary case
+/// of the format-generic converter in formats beyond `f64`.
+fn exhaustive_neighbour_reads<F: FloatFormat + Copy>(
+    make: fn(u16) -> F,
+    bits_of: fn(F) -> u16,
+    max_finite: u16,
+) {
+    const SHIFT: u32 = 12;
+    let finite = |bits: u16| match make(bits).decode() {
+        Decoded::Finite {
+            mantissa, exponent, ..
+        } => (mantissa, exponent),
+        other => panic!("bits {bits:#06x} decode to {other:?}"),
+    };
+    for lo in 1..max_finite {
+        let hi = lo + 1;
+        let even = if lo % 2 == 0 { lo } else { hi };
+        let (f_lo, e_lo) = finite(lo);
+        let (f_hi, e_hi) = finite(hi);
+        // Units of 2^e with hi − lo = 2^SHIFT units.
+        let e = e_lo - SHIFT as i32;
+        let mid = ((f_lo << SHIFT) + (f_hi << (e_hi - e))) >> 1;
+        let points = [
+            (mid - 1, [lo, lo, lo, lo, lo, hi]),
+            (mid, [even, even, hi, lo, lo, hi]),
+            (mid + 1, [hi, hi, hi, hi, lo, hi]),
+        ];
+        for (n, expected) in points {
+            let text = exact_decimal(n, e);
+            for (sign, sign_bit) in [("", 0), ("-", 0x8000)] {
+                let text = format!("{sign}{text}");
+                for (mode, want) in MODES.into_iter().zip(expected) {
+                    let got: F = read_float(&text, 10, mode).expect("well-formed");
+                    assert_eq!(
+                        bits_of(got),
+                        want | sign_bit,
+                        "{text} under {mode:?} (between {lo:#06x} and {hi:#06x})"
+                    );
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn all_f16_neighbour_pairs_read_by_mode() {
+    exhaustive_neighbour_reads(F16::from_bits, F16::to_bits, 0x7BFF);
+}
+
+#[test]
+fn all_bf16_neighbour_pairs_read_by_mode() {
+    exhaustive_neighbour_reads(Bf16::from_bits, Bf16::to_bits, 0x7F7F);
+}
+
+#[test]
+fn f32_overflow_and_underflow_by_mode() {
+    let inf = f32::INFINITY;
+    let tiny = f32::from_bits(1);
+    let cases: [(&str, [f32; 6]); 4] = [
+        ("1e39", [inf, inf, inf, inf, f32::MAX, inf]),
+        ("-1e39", [-inf, -inf, -inf, -inf, -f32::MAX, -inf]),
+        ("1e-50", [0.0, 0.0, 0.0, 0.0, 0.0, tiny]),
+        ("-1e-50", [-0.0, -0.0, -0.0, -0.0, -0.0, -tiny]),
+    ];
+    for (text, expected) in cases {
+        for (mode, want) in MODES.into_iter().zip(expected) {
+            let got: f32 = read_float(text, 10, mode).expect("well-formed");
+            assert_eq!(got.to_bits(), want.to_bits(), "{text} under {mode:?}");
+        }
+    }
 }

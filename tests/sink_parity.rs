@@ -145,3 +145,93 @@ fn digit_stream_agrees_with_sink_digits() {
         assert_eq!(k, exp_txt.parse::<i32>().unwrap() + 1, "{v:e}");
     }
 }
+
+/// Every positive finite `F16` in release builds, every 97th in debug.
+fn positive_f16s() -> impl Iterator<Item = fpp::float::SoftFloat> {
+    let stride = if cfg!(debug_assertions) { 97 } else { 1 };
+    (1..0x7C00u16)
+        .step_by(stride)
+        .map(|bits| fpp::float::SoftFloat::from_float(F16::from_bits(bits)).expect("positive"))
+}
+
+/// [`DigitStream`] against the rational §2.2 oracle in bases 2/10/16/36,
+/// under the four nearest-family reader modes and all three tie rules.
+///
+/// [`DigitStream`]: fpp::core::DigitStream
+#[test]
+fn digit_stream_agrees_with_rational_oracle() {
+    use fpp::bignum::PowerTable;
+    use fpp::core::{free_digits_exact, DigitStream, Inclusivity, ScalingStrategy, TieBreak};
+    use fpp::float::RoundingMode;
+
+    for base in [2u64, 10, 16, 36] {
+        let mut powers = PowerTable::new(base);
+        for sf in positive_f16s() {
+            let even = sf.mantissa_is_even();
+            for (mode, (low_ok, high_ok)) in [
+                (RoundingMode::NearestEven, (even, even)),
+                (RoundingMode::Conservative, (false, false)),
+                (RoundingMode::NearestAwayFromZero, (true, false)),
+                (RoundingMode::NearestTowardZero, (false, true)),
+            ] {
+                for tie in [TieBreak::Up, TieBreak::Down, TieBreak::Even] {
+                    let stream = DigitStream::with_options(
+                        &sf,
+                        ScalingStrategy::Estimate,
+                        mode,
+                        tie,
+                        &mut powers,
+                    );
+                    let k = stream.k();
+                    let streamed: Vec<u8> = stream.collect();
+                    let exact = free_digits_exact(&sf, base, Inclusivity { low_ok, high_ok }, tie);
+                    assert_eq!(
+                        (streamed, k),
+                        (exact.digits, exact.k),
+                        "{sf} base {base} {mode:?} {tie:?}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// The directed modes reshape the rounding range before the loop runs;
+/// [`DigitStream`] must reshape it as the batch engine does.
+///
+/// [`DigitStream`]: fpp::core::DigitStream
+#[test]
+fn digit_stream_agrees_with_batch_digits_in_directed_modes() {
+    use fpp::bignum::PowerTable;
+    use fpp::core::{free_format_digits, DigitStream, ScalingStrategy, TieBreak};
+    use fpp::float::RoundingMode;
+
+    for base in [2u64, 10, 16, 36] {
+        let mut powers = PowerTable::new(base);
+        for sf in positive_f16s() {
+            for mode in [RoundingMode::TowardZero, RoundingMode::AwayFromZero] {
+                let stream = DigitStream::with_options(
+                    &sf,
+                    ScalingStrategy::Estimate,
+                    mode,
+                    TieBreak::Up,
+                    &mut powers,
+                );
+                let k = stream.k();
+                let streamed: Vec<u8> = stream.collect();
+                let batch = free_format_digits(
+                    &sf,
+                    ScalingStrategy::Estimate,
+                    mode,
+                    TieBreak::Up,
+                    &mut powers,
+                );
+                assert_eq!(
+                    (streamed, k),
+                    (batch.digits, batch.k),
+                    "{sf} base {base} {mode:?}"
+                );
+            }
+        }
+    }
+}
