@@ -1,6 +1,5 @@
 #!/usr/bin/env bash
-# Hermetic CI: everything here runs with no registry access (the proptest
-# suites are feature-gated out; see DESIGN.md §9).
+# Hermetic CI: everything here runs with no registry access.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -35,6 +34,9 @@ echo "== shortest tier: parity tests (release) =="
 cargo test --release -q --test fastpath_parity
 cargo test --release -q --test fastpath_parity -- --ignored ten_million
 
+echo "== printf layer vs std: seeded 200k-case sweep (release) =="
+cargo test --release -q --test printf_diff -- --ignored
+
 echo "== reader: parse parity + round-trip batteries (release) =="
 # The Eisel–Lemire tiers against the exact big-integer oracle and std:
 # generated literals, adversarial halfway corpus, the sampled 10M-value
@@ -49,13 +51,14 @@ cargo test --release -q --test reader_scanner
 cargo test --release -q --test reader_mutation
 cargo test --release -q --test reader_mutation -- --ignored
 
-echo "== telemetry build + tests (--features telemetry) =="
+echo "== every feature: build + tests (--all-features) =="
 # The instrumented configuration is a separate feature unification: build it,
 # run the whole suite under it (including the exact-count tests/telemetry.rs
 # target, which only exists with the feature on), and run the telemetry
-# crate's own disabled-mode tests explicitly.
-cargo build --workspace --release --features telemetry
-cargo test --workspace -q --features telemetry
+# crate's own disabled-mode tests explicitly. `--all-features` compiles and
+# runs any feature-gated target, so none can rot unbuilt.
+cargo build --workspace --release --all-features
+cargo test --workspace -q --all-features
 cargo test -q -p fpp-telemetry
 
 echo "== telemetry-off zero-cost guard (release) =="

@@ -4,11 +4,16 @@
 //! handle all IEEE double-precision floating-point numbers") so that scaling
 //! costs a table lookup instead of an exponentiation. [`PowerTable`]
 //! generalizes that cache to any base and grows on demand, so output bases
-//! 2–36 and wider float formats are covered by the same mechanism.
+//! 2–36 and wider float formats are covered by the same mechanism. Only
+//! the first [`PowerTable::MEMO_LEN`] powers are memoised: fixed-format
+//! output at a far position needs one huge power, and caching every power
+//! below it would cost time and memory quadratic in the position.
 
 use crate::Nat;
 
-/// A growable cache of `base^0, base^1, …` as big naturals.
+/// A growable cache of `base^0, base^1, …` as big naturals, up to
+/// [`PowerTable::MEMO_LEN`] entries; a power past them is computed on
+/// request and kept only until the next such request.
 ///
 /// ```
 /// use fpp_bignum::PowerTable;
@@ -20,9 +25,17 @@ use crate::Nat;
 pub struct PowerTable {
     base: u64,
     powers: Vec<Nat>,
+    /// The latest power past the memoised ones, as `(exp, base^exp)`.
+    spill: Option<(u32, Nat)>,
 }
 
 impl PowerTable {
+    /// How many powers (`base^0` up) are memoised. 1130 covers every
+    /// exponent a shortest conversion of a hardware format needs (an `f64`
+    /// subnormal printed in base 2 scales by about `2^1074`), with room for
+    /// fixed-format positions a few dozen digits past that.
+    pub const MEMO_LEN: usize = 1130;
+
     /// Creates an empty table for `base`.
     ///
     /// # Panics
@@ -34,15 +47,17 @@ impl PowerTable {
         PowerTable {
             base,
             powers: vec![Nat::one()],
+            spill: None,
         }
     }
 
-    /// Creates a table pre-filled up to `base^max_exp` inclusive, like the
-    /// paper's fixed 0–325 table for base 10.
+    /// Creates a table pre-filled up to `base^max_exp` inclusive (at most
+    /// [`PowerTable::MEMO_LEN`] powers), like the paper's fixed 0–325 table
+    /// for base 10.
     #[must_use]
     pub fn with_capacity(base: u64, max_exp: u32) -> Self {
         let mut t = PowerTable::new(base);
-        t.grow_to(max_exp as usize);
+        t.grow_to((max_exp as usize).min(Self::MEMO_LEN - 1));
         t
     }
 
@@ -52,11 +67,26 @@ impl PowerTable {
         self.base
     }
 
-    /// Returns `base^exp`, computing and caching any missing prefix.
+    /// How many powers the table holds: the memoised prefix plus the
+    /// latest power past it.
+    #[must_use]
+    pub fn cached_powers(&self) -> usize {
+        self.powers.len() + usize::from(self.spill.is_some())
+    }
+
+    /// Returns `base^exp`, computing and caching any missing memoised
+    /// prefix, or computing a power past it with [`Nat::pow`].
     #[must_use]
     pub fn pow(&mut self, exp: u32) -> &Nat {
-        self.grow_to(exp as usize);
-        &self.powers[exp as usize]
+        let index = exp as usize;
+        if index < Self::MEMO_LEN {
+            self.grow_to(index);
+            return &self.powers[index];
+        }
+        if !matches!(self.spill, Some((cached, _)) if cached == exp) {
+            self.spill = Some((exp, Nat::from(self.base).pow(exp)));
+        }
+        &self.spill.as_ref().expect("just filled").1
     }
 
     /// Multiplies `n` by `base^exp` (a cached big multiply; the common
@@ -75,8 +105,7 @@ impl PowerTable {
             out.assign(n);
             return;
         }
-        self.grow_to(exp as usize);
-        n.mul_into(&self.powers[exp as usize], out);
+        n.mul_into(self.pow(exp), out);
     }
 
     /// Multiplies `n` in place by `base^exp`, borrowing a product buffer
@@ -155,6 +184,18 @@ mod tests {
     fn with_capacity_prefills() {
         let t = PowerTable::with_capacity(10, 325);
         assert_eq!(t.powers.len(), 326);
+        let t = PowerTable::with_capacity(10, 5000);
+        assert_eq!(t.cached_powers(), PowerTable::MEMO_LEN);
+    }
+
+    #[test]
+    fn powers_past_the_memo_are_computed_not_cached() {
+        let mut t = PowerTable::new(3);
+        let last = PowerTable::MEMO_LEN as u32 - 1;
+        for e in [last, last + 1, 4000, last + 1, 7] {
+            assert_eq!(t.pow(e), &Nat::from(3u64).pow(e), "3^{e}");
+        }
+        assert_eq!(t.cached_powers(), PowerTable::MEMO_LEN + 1);
     }
 
     #[test]

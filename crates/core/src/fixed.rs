@@ -59,6 +59,11 @@ impl FixedDigits {
     }
 }
 
+/// The bound on fixed format's `|position|` and significant-digit count:
+/// the work and memory of one conversion grow with them (see
+/// [`crate::FixedFormat::absolute_position`]).
+pub(crate) const MAX_DIGITS: u32 = 1 << 24;
+
 /// Fixed-format digits of a positive value at an absolute position `j`
 /// (§4's absolute mode), correctly rounded, with `#` marks where the float's
 /// precision runs out.
@@ -77,6 +82,11 @@ impl FixedDigits {
 /// assert_eq!(d.digits.len(), 18); // "1" plus 17 significant zeros
 /// assert_eq!(d.insignificant, 5);
 /// ```
+///
+/// # Panics
+///
+/// Panics if `|j| > 2²⁴`, the bound of
+/// [`crate::FixedFormat::absolute_position`].
 #[must_use]
 pub fn fixed_format_digits_absolute(
     v: &SoftFloat,
@@ -85,6 +95,10 @@ pub fn fixed_format_digits_absolute(
     tie: TieBreak,
     powers: &mut PowerTable,
 ) -> FixedDigits {
+    assert!(
+        j.unsigned_abs() <= MAX_DIGITS,
+        "fpp_core: fixed-format position beyond ±2^24 is not supported"
+    );
     let mut ws = Workspace::default();
     let meta = fixed_format_into(v, j, strategy, tie, powers, &mut ws);
     FixedDigits {
@@ -236,7 +250,7 @@ pub(crate) fn fixed_format_into(
 ///
 /// # Panics
 ///
-/// Panics if `count == 0`.
+/// Panics if `count == 0` or `count > 2²⁴`.
 #[must_use]
 pub fn fixed_format_digits_relative(
     v: &SoftFloat,
@@ -271,7 +285,7 @@ pub(crate) fn fixed_format_relative_into(
 ) -> FixedMeta {
     assert!(count >= 1, "fpp_core: relative precision must be >= 1");
     assert!(
-        count <= 1 << 24,
+        count <= MAX_DIGITS,
         "fpp_core: relative precision above 2^24 digits is not supported"
     );
     // Initial estimate of the leading-digit position from the free-format

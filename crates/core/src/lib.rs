@@ -546,7 +546,9 @@ impl FixedFormat {
     ///
     /// # Panics
     ///
-    /// Panics (at format time) if `count == 0` or `count > 2²⁴`.
+    /// Panics if `count == 0`. Formatting panics if `count > 2²⁴`, the
+    /// bound that keeps one conversion's work and memory bounded (see
+    /// [`FixedFormat::absolute_position`]).
     #[must_use]
     pub fn significant_digits(mut self, count: u32) -> Self {
         assert!(count >= 1, "significant digit count must be >= 1");
@@ -559,19 +561,32 @@ impl FixedFormat {
     ///
     /// # Panics
     ///
-    /// Panics if `count > 2²⁴` (position arithmetic would overflow long
-    /// before any practical use).
+    /// Panics if `count > 2²⁴`, the bound of
+    /// [`FixedFormat::absolute_position`].
     #[must_use]
     pub fn fraction_digits(mut self, count: u32) -> Self {
-        assert!(count <= 1 << 24, "fraction digit count above 2^24");
+        assert!(
+            count <= fixed::MAX_DIGITS,
+            "fraction digit count above 2^24"
+        );
         self.precision = FixedPrecision::AbsolutePosition(-(count as i32));
         self
     }
 
     /// Stops output at the digit of weight `base^position` (absolute mode,
     /// §4).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `|position| > 2²⁴`. The bound keeps one conversion's work
+    /// and memory bounded: position `±n` costs a power of the base with
+    /// `n · log₂ B` bits, and position `-n` a text of `n` digits.
     #[must_use]
     pub fn absolute_position(mut self, position: i32) -> Self {
+        assert!(
+            position.unsigned_abs() <= fixed::MAX_DIGITS,
+            "absolute position beyond ±2^24"
+        );
         self.precision = FixedPrecision::AbsolutePosition(position);
         self
     }

@@ -3,13 +3,14 @@
 //! Every batch path — serial and sharded at several thread counts — must
 //! reproduce [`fpp::print_shortest`]'s exact bytes over the Schryer hard
 //! cases, log-uniform doubles, the special-value gallery (signed zeros,
-//! subnormals, infinities, NaN), and duplicate-heavy columns. Buffer-reuse stability is asserted here too;
-//! the steady-state *zero-allocation* proof lives with the counting global
+//! subnormals, infinities, NaN), and duplicate-heavy columns. The per-value
+//! API must give the same bytes from any thread. Buffer-reuse stability is
+//! asserted here too; the steady-state *zero-allocation* proof lives with the counting global
 //! allocator in `tests/alloc_count.rs`.
 
 use fpp::batch::{BatchFormatter, BatchOptions, BatchOutput};
 use fpp::testgen::{log_uniform_doubles, special_values, SchryerSet};
-use fpp::{print_shortest, FreeFormat};
+use fpp::{print_shortest, FixedFormat, FreeFormat};
 
 /// Schryer workload, subsampled so the debug-profile run stays quick while
 /// release CI covers a denser slice.
@@ -80,6 +81,36 @@ fn sharded_batch_matches_serial_at_any_thread_count() {
             "sharded({threads}) offsets"
         );
     }
+}
+
+/// The per-value API from several threads at once: each thread's cached
+/// contexts must give the main thread's bytes, and the builders and digit
+/// types must be shareable across threads.
+#[test]
+fn parallel_formatting_is_consistent() {
+    fn assert_send_sync<T: Send + Sync>() {}
+    assert_send_sync::<FreeFormat>();
+    assert_send_sync::<FixedFormat>();
+    assert_send_sync::<fpp::core::Digits>();
+    assert_send_sync::<fpp::core::FixedDigits>();
+    assert_send_sync::<fpp::core::DigitStream>();
+
+    let fixed = FixedFormat::new().significant_digits(9);
+    let values: Vec<f64> = log_uniform_doubles(0x7EAD).take(64).collect();
+    let expected: Vec<(String, String)> = values
+        .iter()
+        .map(|&v| (print_shortest(v), fixed.format(v)))
+        .collect();
+    std::thread::scope(|scope| {
+        for _ in 0..4 {
+            scope.spawn(|| {
+                for (&v, (shortest, fixed_text)) in values.iter().zip(&expected) {
+                    assert_eq!(&print_shortest(v), shortest, "bits {:#x}", v.to_bits());
+                    assert_eq!(&fixed.format(v), fixed_text, "bits {:#x}", v.to_bits());
+                }
+            });
+        }
+    });
 }
 
 #[test]

@@ -3,23 +3,16 @@
 //! float has the precision, `#` positions are exactly the insignificant
 //! ones, and the whole string (marks included) still reads back as `v`.
 
-use fpp::bignum::{Int, Nat, PowerTable, Rat};
+mod common;
+
+use common::digits_value;
+use fpp::bignum::{PowerTable, Rat};
 use fpp::core::{
-    fixed_format_digits_absolute, fixed_format_digits_relative, FixedDigits, ScalingStrategy,
-    TieBreak,
+    fixed_format_digits_absolute, fixed_format_digits_relative, with_thread_powers, FixedFormat,
+    ScalingStrategy, TieBreak,
 };
 use fpp::float::SoftFloat;
 use fpp::testgen::{special_values, uniform_bit_doubles};
-
-/// V = 0.d1...dn × B^k as an exact rational (marks contribute nothing).
-fn value_of(d: &FixedDigits, base: u64) -> Rat {
-    let mut coeff = Nat::zero();
-    for &digit in &d.digits {
-        coeff.mul_u64(base);
-        coeff.add_u64(u64::from(digit));
-    }
-    Rat::from(Int::from(coeff)) * Rat::pow_i32(base, d.k - d.digits.len() as i32)
-}
 
 fn workload() -> Vec<f64> {
     special_values()
@@ -45,7 +38,7 @@ fn output_is_within_the_governing_range() {
                 TieBreak::Up,
                 &mut powers,
             );
-            let out = value_of(&d, 10);
+            let out = digits_value(&d.digits, d.k, 10);
             let err = if out > sf.value() {
                 &out - &sf.value()
             } else {
@@ -115,15 +108,7 @@ fn hash_positions_are_exactly_the_insignificant_ones() {
         // Worst-case digits in the marked positions:
         let mut nines = d.digits.clone();
         nines.extend(std::iter::repeat_n(9u8, d.insignificant));
-        let stuffed = value_of(
-            &FixedDigits {
-                digits: nines,
-                k: d.k,
-                insignificant: 0,
-                position: d.position,
-            },
-            10,
-        );
+        let stuffed = digits_value(&nines, d.k, 10);
         assert!(
             stuffed > nb.low && stuffed < nb.high,
             "{v}: 9-stuffed marks escaped the rounding range"
@@ -132,7 +117,7 @@ fn hash_positions_are_exactly_the_insignificant_ones() {
         // whole unit of the *preceding* position fits below high; the last
         // significant position must fail the same criterion (otherwise it
         // would have been marked too).
-        let v_out = value_of(&d, 10);
+        let v_out = digits_value(&d.digits, d.k, 10);
         let unit_first_mark = Rat::pow_i32(10, d.k - d.digits.len() as i32);
         assert!(
             &v_out + &unit_first_mark <= nb.high,
@@ -217,4 +202,26 @@ fn zero_rounding_cases() {
     let d =
         fixed_format_digits_absolute(&sf, 0, ScalingStrategy::Estimate, TieBreak::Up, &mut powers);
     assert!(d.is_zero());
+}
+
+#[test]
+fn far_positions_cost_one_power() {
+    // Past the first few dozen places 1.5 has only insignificant positions,
+    // so 2^20 places are the 1100-place text padded with marks. The power
+    // table memoises a bounded prefix and keeps one power past it, instead
+    // of every power up to 10^(2^20).
+    let places = 1 << 20;
+    let near = FixedFormat::new().fraction_digits(1100).format(1.5);
+    let far = FixedFormat::new().fraction_digits(places).format(1.5);
+    assert_eq!(far.len(), near.len() + places as usize - 1100);
+    assert!(far.starts_with(&near), "{}", &far[..near.len()]);
+    assert!(far[near.len()..].bytes().all(|b| b == b'#'));
+    let held = with_thread_powers(10, |powers| powers.cached_powers());
+    assert!(held <= PowerTable::MEMO_LEN + 1, "{held} powers held");
+}
+
+#[test]
+#[should_panic(expected = "absolute position beyond")]
+fn absolute_position_is_bounded() {
+    let _ = FixedFormat::new().absolute_position(i32::MIN);
 }

@@ -1,11 +1,21 @@
 //! Differential tests: the optimized §3 integer pipeline against the §2.2
 //! exact rational oracle, against the independent Steele–White baseline,
-//! and across all four scaling strategies.
+//! across all four scaling strategies and the Figure 1–3 listings, on
+//! `f64` workloads and exhaustive toy formats; plus the scale estimate's
+//! contract.
 
+mod common;
+
+use common::{enumerate_format, toy_cases};
 use fpp::baseline::steele_white::steele_white_digits;
-use fpp::bignum::PowerTable;
-use fpp::core::{free_digits_exact, free_format_digits, Inclusivity, ScalingStrategy, TieBreak};
+use fpp::bignum::{Nat, PowerTable, Rat};
+use fpp::core::figures::{fig1_flonum_to_digits, fig2_flonum_to_digits, fig3_flonum_to_digits};
+use fpp::core::{
+    estimate_k, free_digits_exact, free_format_digits, with_thread_powers, Inclusivity,
+    ScalingStrategy, TieBreak,
+};
 use fpp::float::{RoundingMode, SoftFloat};
+use fpp::testgen::prng::Xoshiro256pp;
 use fpp::testgen::{special_values, uniform_bit_doubles};
 
 fn workload() -> Vec<f64> {
@@ -15,121 +25,164 @@ fn workload() -> Vec<f64> {
         .collect()
 }
 
+/// The nearest-family modes with the rounding-range endpoints each admits.
+fn modes(sf: &SoftFloat) -> [(RoundingMode, Inclusivity); 4] {
+    let even = sf.mantissa_is_even();
+    let inc = |low_ok, high_ok| Inclusivity { low_ok, high_ok };
+    [
+        (RoundingMode::NearestEven, inc(even, even)),
+        (RoundingMode::Conservative, inc(false, false)),
+        (RoundingMode::NearestAwayFromZero, inc(true, false)),
+        (RoundingMode::NearestTowardZero, inc(false, true)),
+    ]
+}
+
+/// Asserts the pipeline's digits equal the rational oracle's.
+fn assert_matches_oracle(sf: &SoftFloat, base: u64, (mode, inc): (RoundingMode, Inclusivity)) {
+    let fast = with_thread_powers(base, |powers| {
+        free_format_digits(sf, ScalingStrategy::Estimate, mode, TieBreak::Up, powers)
+    });
+    let slow = free_digits_exact(sf, base, inc, TieBreak::Up);
+    assert_eq!(
+        (fast.digits, fast.k),
+        (slow.digits, slow.k),
+        "{sf} base {base} under {mode:?}"
+    );
+}
+
 #[test]
 fn integer_pipeline_matches_rational_oracle_base10() {
-    let mut powers = PowerTable::new(10);
     for v in workload() {
         let sf = SoftFloat::from_f64(v).unwrap();
-        for (mode, inc) in [
-            (
-                RoundingMode::Conservative,
-                Inclusivity {
-                    low_ok: false,
-                    high_ok: false,
-                },
-            ),
-            (
-                RoundingMode::NearestEven,
-                Inclusivity {
-                    low_ok: sf.mantissa_is_even(),
-                    high_ok: sf.mantissa_is_even(),
-                },
-            ),
-            (
-                RoundingMode::NearestAwayFromZero,
-                Inclusivity {
-                    low_ok: true,
-                    high_ok: false,
-                },
-            ),
-            (
-                RoundingMode::NearestTowardZero,
-                Inclusivity {
-                    low_ok: false,
-                    high_ok: true,
-                },
-            ),
-        ] {
-            let fast = free_format_digits(
-                &sf,
-                ScalingStrategy::Estimate,
-                mode,
-                TieBreak::Up,
-                &mut powers,
-            );
-            let slow = free_digits_exact(&sf, 10, inc, TieBreak::Up);
-            assert_eq!(
-                (fast.digits, fast.k),
-                (slow.digits, slow.k),
-                "{v} under {mode:?}"
-            );
+        for mode in modes(&sf) {
+            assert_matches_oracle(&sf, 10, mode);
         }
     }
 }
 
 #[test]
 fn integer_pipeline_matches_rational_oracle_other_bases() {
+    let conservative = (
+        RoundingMode::Conservative,
+        Inclusivity {
+            low_ok: false,
+            high_ok: false,
+        },
+    );
     for base in [2u64, 3, 7, 16, 36] {
-        let mut powers = PowerTable::new(base);
         for v in workload().into_iter().take(120) {
-            let sf = SoftFloat::from_f64(v).unwrap();
-            let fast = free_format_digits(
-                &sf,
-                ScalingStrategy::Estimate,
-                RoundingMode::Conservative,
-                TieBreak::Up,
-                &mut powers,
-            );
-            let slow = free_digits_exact(
-                &sf,
-                base,
-                Inclusivity {
-                    low_ok: false,
-                    high_ok: false,
-                },
-                TieBreak::Up,
-            );
-            assert_eq!(
-                (fast.digits, fast.k),
-                (slow.digits, slow.k),
-                "{v} base {base}"
-            );
+            assert_matches_oracle(&SoftFloat::from_f64(v).unwrap(), base, conservative);
+        }
+    }
+    // Two seeded doubles in every output base.
+    for base in 2u64..=36 {
+        for v in uniform_bit_doubles(0x0BA5E + base).take(2) {
+            assert_matches_oracle(&SoftFloat::from_f64(v).unwrap(), base, conservative);
+        }
+    }
+    // Every value of the toy formats (input bases 2, 10 and 3), every mode.
+    for (sf, base) in toy_cases() {
+        for mode in modes(&sf) {
+            assert_matches_oracle(&sf, base, mode);
         }
     }
 }
 
-#[test]
-fn all_scaling_strategies_produce_identical_digits() {
-    let mut powers = PowerTable::new(10);
-    let strategies = [
-        ScalingStrategy::Iterative,
-        ScalingStrategy::Log,
-        ScalingStrategy::Estimate,
-        ScalingStrategy::Gay,
-    ];
-    for v in workload() {
-        let sf = SoftFloat::from_f64(v).unwrap();
+/// Asserts every scaling strategy yields the iterative one's digits, and
+/// returns them as `(k, digits)`.
+fn assert_strategies_agree(sf: &SoftFloat, base: u64) -> (i32, Vec<u8>) {
+    with_thread_powers(base, |powers| {
         let reference = free_format_digits(
-            &sf,
+            sf,
             ScalingStrategy::Iterative,
             RoundingMode::NearestEven,
             TieBreak::Up,
-            &mut powers,
+            powers,
         );
-        for strategy in strategies {
+        for strategy in [
+            ScalingStrategy::Log,
+            ScalingStrategy::Estimate,
+            ScalingStrategy::Gay,
+        ] {
             let got = free_format_digits(
-                &sf,
+                sf,
                 strategy,
                 RoundingMode::NearestEven,
                 TieBreak::Up,
-                &mut powers,
+                powers,
             );
             assert_eq!(
                 (&got.digits, got.k),
                 (&reference.digits, reference.k),
-                "{v} with {strategy:?}"
+                "{sf} base {base} with {strategy:?}"
             );
         }
+        (reference.k, reference.digits)
+    })
+}
+
+#[test]
+fn all_scaling_strategies_produce_identical_digits() {
+    for v in workload() {
+        assert_strategies_agree(&SoftFloat::from_f64(v).unwrap(), 10);
+    }
+    // Every value of two toy formats, where the Figure 1–3 listings join in
+    // as three more scalings. Figures 2–3 estimate from the mantissa's bit
+    // length, so only Figure 1 takes the general input base.
+    for v in enumerate_format(2, 4, -7, 7) {
+        for base in [10u64, 16] {
+            let expect = assert_strategies_agree(&v, base);
+            assert_eq!(
+                fig1_flonum_to_digits(&v, base),
+                expect,
+                "Figure 1: {v} base {base}"
+            );
+            assert_eq!(
+                fig2_flonum_to_digits(&v, base),
+                expect,
+                "Figure 2: {v} base {base}"
+            );
+            assert_eq!(
+                fig3_flonum_to_digits(&v, base),
+                expect,
+                "Figure 3: {v} base {base}"
+            );
+        }
+    }
+    for v in enumerate_format(3, 2, -4, 4) {
+        let expect = assert_strategies_agree(&v, 10);
+        assert_eq!(fig1_flonum_to_digits(&v, 10), expect, "Figure 1: {v}");
+    }
+}
+
+/// §3.2's contract for the scale estimate: over random soft floats of any
+/// input base `b` and output base `B`, it never overshoots
+/// `k = ⌈log_B v⌉` and is at most one low.
+#[test]
+fn estimate_within_one() {
+    let mut rng = Xoshiro256pp::seed_from_u64(0xE571_3A7E);
+    for _ in 0..20_000 {
+        let f = rng.range_inclusive(1, (1 << 40) - 1);
+        let e = rng.range_inclusive(0, 399) as i32 - 200;
+        let b = rng.range_inclusive(2, 16);
+        let out_base = rng.range_inclusive(2, 36);
+        // The mantissa's own width in base-b digits keeps it normalized.
+        let mut p = 1;
+        while b.pow(p) <= f {
+            p += 1;
+        }
+        let v = SoftFloat::new(Nat::from(f), e, b, p, e.min(0) - 1).expect("normalized");
+        let est = estimate_k(&v, out_base);
+        // k is the smallest integer with v ≤ B^k.
+        let value = v.value();
+        assert!(
+            value > Rat::pow_i32(out_base, est - 1),
+            "{f}×{b}^{e} base {out_base}: estimate {est} overshoots"
+        );
+        assert!(
+            value <= Rat::pow_i32(out_base, est + 1),
+            "{f}×{b}^{e} base {out_base}: estimate {est} more than one low"
+        );
     }
 }
 

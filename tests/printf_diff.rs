@@ -2,8 +2,8 @@
 //! library's (correctly rounded) formatting.
 
 use fpp::printf::{format_e, format_f, format_g};
+use fpp::testgen::prng::Xoshiro256pp;
 use fpp::testgen::{special_values, uniform_bit_doubles};
-use proptest::prelude::*;
 
 #[test]
 fn format_f_matches_std_on_workload() {
@@ -45,32 +45,40 @@ fn format_e_digits_match_std_on_workload() {
     }
 }
 
-proptest! {
-    #[test]
-    fn format_f_random(bits: u64, p in 0u32..12) {
-        let v = f64::from_bits(bits);
-        if v.is_finite() && (1e-12..1e12).contains(&v.abs()) {
-            prop_assert_eq!(format_f(v, p), format!("{:.*}", p as usize, v));
+/// Seeded random bit patterns through `%f`, `%e` and `%.17g`.
+fn random_bits(cases: usize) {
+    let mut rng = Xoshiro256pp::seed_from_u64(0x9_21F7);
+    for _ in 0..cases {
+        let v = f64::from_bits(rng.next_u64());
+        if !v.is_finite() {
+            continue;
         }
-    }
-
-    #[test]
-    fn format_e_random(bits: u64, p in 0u32..15) {
-        let v = f64::from_bits(bits);
-        if v.is_finite() && v != 0.0 {
-            let ours = format_e(v, p);
-            let std = format!("{:.*e}", p as usize, v);
-            prop_assert_eq!(ours.split('e').next(), std.split('e').next());
+        if (1e-12..1e12).contains(&v.abs()) {
+            let p = rng.range_inclusive(0, 11) as usize;
+            assert_eq!(format_f(v, p as u32), format!("{v:.p$}"), "{v:e} at {p}");
         }
-    }
-
-    #[test]
-    fn format_g_round_trips_at_17(bits: u64) {
+        if v != 0.0 {
+            let p = rng.range_inclusive(0, 14) as usize;
+            let (ours, std) = (format_e(v, p as u32), format!("{v:.p$e}"));
+            assert_eq!(
+                ours.split('e').next(),
+                std.split('e').next(),
+                "{v:e} at {p}"
+            );
+        }
         // %.17g output always reads back to the same double.
-        let v = f64::from_bits(bits);
-        if v.is_finite() {
-            let s = format_g(v, 17);
-            prop_assert_eq!(s.parse::<f64>().unwrap().to_bits(), v.to_bits(), "{}", s);
-        }
+        let s = format_g(v, 17);
+        assert_eq!(s.parse::<f64>().unwrap().to_bits(), v.to_bits(), "{s}");
     }
+}
+
+#[test]
+fn random_bits_match_std() {
+    random_bits(20_000);
+}
+
+#[test]
+#[ignore = "200k-case sweep; run explicitly with --ignored --release"]
+fn random_bits_match_std_200k() {
+    random_bits(200_000);
 }

@@ -4,9 +4,10 @@
 //! the standard library — with zero tolerated bit divergences. The fast
 //! tier's rejections must be a strict subset handled by the fallback: a
 //! `read_f64_fast` answer always matches, and a rejection never changes the
-//! tiered result.
+//! tiered result. The rounding modes must bracket the nearest reading.
 
-use fpp::reader::{read_f64, read_f64_exact, read_f64_fast};
+use fpp::float::RoundingMode;
+use fpp::reader::{read_f64, read_f64_exact, read_f64_fast, read_float};
 use fpp::testgen::prng::Xoshiro256pp;
 
 /// One generated literal: `[-]d.ddd…e±X` with `digits` significant digits
@@ -144,5 +145,40 @@ fn coefficient_exponent_grid_agrees_across_all_readers() {
             let s = format!("{coeff}e{e}");
             check(&s);
         }
+    }
+}
+
+/// Seeded `{digits}e{exp}` literals: the directed modes return the two
+/// neighbours around the literal (equal when it is exact) with the nearest
+/// reading between them, and the three nearest modes differ only on exact
+/// halfway literals, where even picks one of the other two.
+#[test]
+fn rounding_modes_bracket_nearest() {
+    let mut rng = Xoshiro256pp::seed_from_u64(0x0B2A_C4E7);
+    let read = |s: &str, mode| -> f64 { read_float(s, 10, mode).expect("valid literal") };
+    for i in 0..20_000 {
+        // Half the draws stay near 1 with up to 19 digits, where exact and
+        // halfway literals are common; the rest span the range.
+        let (digits, exp) = if i % 2 == 0 {
+            (
+                rng.range_inclusive(1, 10u64.pow(19) - 1),
+                rng.range_inclusive(0, 60) as i64 - 30,
+            )
+        } else {
+            (
+                rng.range_inclusive(1, u64::MAX - 1),
+                rng.range_inclusive(0, 600) as i64 - 300,
+            )
+        };
+        let s = format!("{digits}e{exp}");
+        let down = read(&s, RoundingMode::TowardZero);
+        let up = read(&s, RoundingMode::AwayFromZero);
+        let near = read(&s, RoundingMode::NearestEven);
+        assert!(down <= near && near <= up, "{s}: {down:e} {near:e} {up:e}");
+        assert!(down == up || down.next_up() == up, "{s}: {down:e} {up:e}");
+        let away = read(&s, RoundingMode::NearestAwayFromZero);
+        let toward = read(&s, RoundingMode::NearestTowardZero);
+        assert!(toward <= away, "{s}: {toward:e} {away:e}");
+        assert!(near == away || near == toward, "{s}: {near:e}");
     }
 }

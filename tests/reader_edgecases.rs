@@ -2,7 +2,7 @@
 //! corners of the grammar.
 
 use fpp::float::RoundingMode;
-use fpp::reader::{read_f64, read_f64_exact, read_f64_fast, read_float, read_hex};
+use fpp::reader::{read_f64, read_f64_exact, read_f64_fast, read_float, read_hex, BatchParser};
 
 #[test]
 fn leading_zeros_and_redundant_forms() {
@@ -50,10 +50,13 @@ fn exponent_applies_to_truncated_coefficients() {
 
 #[test]
 fn base36_extremes() {
-    let v: f64 = read_float("zz.z", 36, RoundingMode::NearestEven).unwrap();
-    assert!((v - (35.0 * 36.0 + 35.0 + 35.0 / 36.0)).abs() < 1e-9);
-    let v: f64 = read_float("1@-3", 36, RoundingMode::NearestEven).unwrap();
-    assert_eq!(v, 36f64.powi(-3));
+    let read = |s, base| -> f64 { read_float(s, base, RoundingMode::NearestEven).unwrap() };
+    assert!((read("zz.z", 36) - (35.0 * 36.0 + 35.0 + 35.0 / 36.0)).abs() < 1e-9);
+    assert_eq!(read("1@-3", 36), 36f64.powi(-3));
+    // '@' marks the exponent in every base; 'e' is a digit from base 15 up.
+    assert_eq!(read("1e1", 16), 481.0);
+    assert_eq!(read("1@1", 16), 16.0);
+    assert_eq!(read("1@2", 10), 100.0);
 }
 
 #[test]
@@ -278,4 +281,37 @@ fn mebibyte_zero_padded_literals() {
     // `str::parse` stops reading exponent digits once their value passes
     // 65535, so it reads this one as 0; the value is 1.5.
     check_reads(&format!("0.{zeros}15e{}", (1 << 20) + 1), 1.5);
+}
+
+/// Megabyte literals — significant digits, and exponents whose digits run
+/// the same length — on the scalar, base-16 and batch paths. The values
+/// must match `str::parse`, and in base 16, where std cannot help, the read
+/// of a short form: the first 1100 digits (the retention cap) or the
+/// exponent's value. There is no time limit, but work quadratic in the
+/// length would take minutes at 4 MB.
+#[test]
+fn long_literals_read_in_bounded_work() {
+    let batch = BatchParser::new();
+    let hex = |s: &str| -> f64 { read_float(s, 16, RoundingMode::TowardZero).unwrap() };
+    for len in [1 << 20, 4 << 20] {
+        let digits = format!("0.{}", "123456789".repeat(len / 9));
+        let up = format!("1e{}1", "0".repeat(len - 3));
+        let down = format!("1e-{}", "9".repeat(len - 3));
+        for s in [&digits, &up, &down] {
+            let expect: f64 = s.parse().unwrap();
+            assert_eq!(
+                read_f64(s).unwrap().to_bits(),
+                expect.to_bits(),
+                "{}",
+                show(s)
+            );
+            let got = batch.parse_f64s(&[s.as_str()]).unwrap();
+            assert_eq!(got[0].to_bits(), expect.to_bits(), "batch on {}", show(s));
+        }
+        assert_eq!(hex(&digits), hex(&digits[..1102]), "{}", show(&digits));
+        let up = up.replacen('e', "@", 1);
+        assert_eq!(hex(&up), 16.0, "{}", show(&up));
+        let down = down.replacen('e', "@", 1);
+        assert_eq!(hex(&down), 0.0, "{}", show(&down));
+    }
 }

@@ -9,6 +9,8 @@
 //! - read the same through `BatchParser::parse_offsets` as through
 //!   `from_utf8` and `read_f64_exact` entry by entry, on the values, the
 //!   lowest failing index and the reason;
+//! - be accepted by `read_f64` exactly when `str::parse::<f64>` accepts
+//!   it, unless it holds `#` or `@`, the grammar's two extensions;
 //! - match `str::parse::<f64>` wherever both accept it.
 //!
 //! The tier-1 run covers 200,000 mutants; the `#[ignore]`d sweep covers
@@ -123,7 +125,15 @@ fn check_scalar(s: &str) -> bool {
             "{s:?}"
         );
     }
-    if let (Ok(ours), Ok(std_v)) = (&tiered, s.parse::<f64>()) {
+    let std_result = s.parse::<f64>();
+    if !s.contains(['#', '@']) {
+        assert_eq!(
+            tiered.is_ok(),
+            std_result.is_ok(),
+            "read_f64 vs str::parse on accepting {s:?}"
+        );
+    }
+    if let (Ok(ours), Ok(std_v)) = (&tiered, std_result) {
         assert!(
             ours.to_bits() == std_v.to_bits() || (ours.is_nan() && std_v.is_nan()),
             "read_f64 vs str::parse on {s:?}: {ours:e} vs {std_v:e}"

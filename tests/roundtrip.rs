@@ -4,7 +4,7 @@
 //! parser and the in-repo accurate reader.
 
 use fpp::core::{FreeFormat, Notation};
-use fpp::float::RoundingMode;
+use fpp::float::{FloatFormat, RoundingMode};
 use fpp::reader::read_float;
 use fpp::testgen::{log_uniform_doubles, special_values, uniform_bit_doubles, SchryerSet};
 
@@ -75,6 +75,13 @@ fn all_bases_round_trip_through_own_reader() {
             let s = fmt.format(v);
             let back: f64 = read_float(&s, base, RoundingMode::NearestEven).expect("well-formed");
             assert_eq!(back.to_bits(), v.to_bits(), "base {base}: {s}");
+            if base == 2 {
+                // The exact binary form, m@e, reads back too.
+                let (_, m, e) = v.decode().finite_parts().expect("finite");
+                let s = format!("{m:b}@{e}");
+                let back: f64 = read_float(&s, 2, RoundingMode::NearestEven).expect("well-formed");
+                assert_eq!(back.to_bits(), v.to_bits(), "{s}");
+            }
         }
     }
 }

@@ -3,34 +3,17 @@
 //! several toy formats, printed in several literal bases, reads back as
 //! exactly the same value.
 
+mod common;
+
+use common::enumerate_format;
 use fpp::bignum::{Nat, PowerTable};
 use fpp::core::{free_format_digits, render_in_base, Notation, ScalingStrategy, TieBreak};
 use fpp::float::{RoundingMode, SoftFloat};
 use fpp::reader::{read_soft, SoftFormat, SoftReadResult};
 
-fn enumerate_format(fmt: &SoftFormat) -> Vec<SoftFloat> {
-    let lo = Nat::from(fmt.base).pow(fmt.precision - 1);
-    let hi = Nat::from(fmt.base).pow(fmt.precision);
-    let mut out = Vec::new();
-    for e in fmt.min_exp..=fmt.max_exp {
-        let mut f = if e == fmt.min_exp {
-            Nat::one()
-        } else {
-            lo.clone()
-        };
-        while f < hi {
-            out.push(
-                SoftFloat::new(f.clone(), e, fmt.base, fmt.precision, fmt.min_exp).expect("valid"),
-            );
-            f += &Nat::one();
-        }
-    }
-    out
-}
-
 fn round_trip_format(fmt: SoftFormat, literal_base: u64, mode: RoundingMode) {
     let mut powers = PowerTable::new(literal_base);
-    for v in enumerate_format(&fmt) {
+    for v in enumerate_format(fmt.base, fmt.precision, fmt.min_exp, fmt.max_exp) {
         let digits = free_format_digits(
             &v,
             ScalingStrategy::Estimate,
@@ -132,7 +115,7 @@ fn conservative_printing_survives_any_nearest_soft_reader() {
         max_exp: 8,
     };
     let mut powers = PowerTable::new(10);
-    for v in enumerate_format(&fmt) {
+    for v in enumerate_format(fmt.base, fmt.precision, fmt.min_exp, fmt.max_exp) {
         let digits = free_format_digits(
             &v,
             ScalingStrategy::Estimate,
