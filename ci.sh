@@ -15,6 +15,11 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 echo "== build (release) =="
 cargo build --workspace --release
 
+echo "== full-set audit: every Schryer value (release) =="
+# Round trips, strategy identity, Steele-White agreement and fixed-17 round
+# trips over all 249,612 values; exits 1 on any failure.
+cargo run --release --offline -q -p fpp-bench --bin verify
+
 echo "== test =="
 cargo test --workspace -q
 

@@ -11,9 +11,6 @@
 //!   Table 3: correctly rounded output to a fixed number of significant
 //!   digits by one exact big-integer division, with none of free format's
 //!   shortest-string search.
-//! * [`fast_fixed`] — Gay's §5 heuristic as a *verified* fast path: a
-//!   64-bit fixed-point conversion with a rigorous error bound, falling back
-//!   to the exact path when the bound cannot certify the rounding.
 //! * [`naive_printf`] — a `printf`-style fixed-format printer that extracts
 //!   digits with native floating-point arithmetic, reproducing the classic
 //!   (and classically *incorrectly rounded*) C-library technique whose error
@@ -22,12 +19,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod fast_fixed;
 pub mod naive_printf;
 pub mod simple_fixed;
 pub mod steele_white;
 
-pub use fast_fixed::{fixed_fast, fixed_fast_or_exact};
 pub use naive_printf::print_naive_printf;
 pub use simple_fixed::print_simple_fixed;
 pub use steele_white::{print_steele_white, write_steele_white};

@@ -11,10 +11,8 @@
 //! 2. all four scaling strategies produce identical digits;
 //! 3. the independent Steele–White implementation agrees with the
 //!    conservative-mode pipeline;
-//! 4. the straightforward 17-digit output round-trips;
-//! 5. the verified fast fixed path agrees with the exact fixed conversion.
+//! 4. the straightforward 17-digit output round-trips.
 
-use fpp_baseline::fast_fixed::fixed_fast;
 use fpp_baseline::simple_fixed::simple_fixed_digits;
 use fpp_baseline::steele_white::steele_white_digits;
 use fpp_bignum::PowerTable;
@@ -36,8 +34,7 @@ fn main() {
     let start = Instant::now();
     let mut powers = PowerTable::with_capacity(10, 350);
 
-    let mut failures = [0usize; 5];
-    let mut fast_fixed_hits = 0usize;
+    let mut failures = [0usize; 4];
 
     for &v in &values {
         let sf = SoftFloat::from_f64(v).expect("positive finite");
@@ -88,23 +85,9 @@ fn main() {
 
         // 4. fixed-17 round-trips
         let (digits, k) = simple_fixed_digits(&sf, 17, &mut powers);
-        let fixed = render(
-            &Digits {
-                digits: digits.clone(),
-                k,
-            },
-            Notation::Scientific,
-        );
+        let fixed = render(&Digits { digits, k }, Notation::Scientific);
         if fixed.parse::<f64>().map(|x| x != v).unwrap_or(true) {
             failures[3] += 1;
-        }
-
-        // 5. verified fast path agrees when it verifies
-        if let Some(fast) = fixed_fast(v, 17) {
-            fast_fixed_hits += 1;
-            if fast != (digits, k) {
-                failures[4] += 1;
-            }
         }
     }
 
@@ -113,7 +96,6 @@ fn main() {
         "scaling strategies digit-identical",
         "independent Steele-White agreement",
         "fixed-17 round-trip",
-        "verified fast fixed == exact",
     ];
     let mut all_ok = true;
     for (name, &f) in names.iter().zip(&failures) {
@@ -121,13 +103,7 @@ fn main() {
         all_ok &= f == 0;
         println!("  [{status}] {name:<40} failures: {f}");
     }
-    println!(
-        "\nfast-fixed verification rate: {:.2}% ({} of {})",
-        100.0 * fast_fixed_hits as f64 / values.len() as f64,
-        fast_fixed_hits,
-        values.len()
-    );
-    println!("elapsed: {:.1} s", start.elapsed().as_secs_f64());
+    println!("\nelapsed: {:.1} s", start.elapsed().as_secs_f64());
     if !all_ok {
         std::process::exit(1);
     }

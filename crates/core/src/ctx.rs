@@ -98,35 +98,6 @@ impl DtoaContext {
         });
         self
     }
-
-    /// Writes the shortest round-tripping form of `v` into `sink` — the
-    /// method form of [`crate::write_shortest`] (identical bytes), answered
-    /// by the shortest tier.
-    ///
-    /// ```
-    /// use fpp_core::{DtoaContext, SliceSink};
-    /// let mut ctx = DtoaContext::new(10);
-    /// let mut buf = [0u8; 32];
-    /// let mut sink = SliceSink::new(&mut buf);
-    /// ctx.write_shortest(&mut sink, 0.3);
-    /// assert_eq!(sink.as_str(), "0.3");
-    /// ```
-    pub fn write_shortest(&mut self, sink: &mut impl crate::DigitSink, v: f64) {
-        crate::write_shortest(self, sink, v);
-    }
-
-    /// Writes the shortest round-tripping form of an `f32` (with `f32`
-    /// boundaries) into `sink` — the method form of
-    /// [`crate::write_shortest_f32`].
-    pub fn write_shortest_f32(&mut self, sink: &mut impl crate::DigitSink, v: f32) {
-        crate::write_shortest_f32(self, sink, v);
-    }
-
-    /// Writes `v` with exactly `fraction_digits` fractional places into
-    /// `sink` — the method form of [`crate::write_fixed`].
-    pub fn write_fixed(&mut self, sink: &mut impl crate::DigitSink, v: f64, fraction_digits: u32) {
-        crate::write_fixed(self, sink, v, fraction_digits);
-    }
 }
 
 /// Recycled buffers for one conversion pipeline.

@@ -35,14 +35,14 @@
 //!
 //! * [`initial_state`] — Table 1: the value and its rounding range as
 //!   big-integer ratios.
-//! * [`ScalingStrategy`] / [`Scaler`] — §3.2: find the scaling factor `k`
-//!   ([`EstimateScaler`] is the paper's contribution; [`IterativeScaler`],
-//!   [`LogScaler`], [`GayScaler`] are the comparison points of Table 2).
+//! * [`ScalingStrategy`] — §3.2: find the scaling factor `k`
+//!   ([`ScalingStrategy::Estimate`] is the paper's contribution;
+//!   `Iterative`, `Log` and `Gay` are the comparison points of Table 2).
 //! * [`free_format_digits`] / [`fixed_format_digits_absolute`] /
 //!   [`fixed_format_digits_relative`] — the digit-generation engines
 //!   (explicit [`fpp_bignum::PowerTable`] for amortised reuse).
 //! * [`free_digits_exact`] — §2.2's rational-arithmetic reference oracle.
-//! * [`render`] / [`render_fixed`] / [`Notation`] — digit-to-text layout;
+//! * [`render`] / [`render_fixed_into`] / [`Notation`] — digit-to-text layout;
 //!   [`render_into`] / [`render_fixed_into`] emit through a sink.
 //! * [`DtoaContext`] / [`DigitSink`] — the zero-allocation layer: a
 //!   reusable context (power table, Table 1 registers, digit buffer,
@@ -78,14 +78,10 @@ pub use fixed::{
 pub use free::free_format_digits;
 pub use generate::{Digits, Inclusivity, TieBreak};
 pub use notation::{
-    exponent_marker, render, render_fixed, render_fixed_in_base, render_fixed_into,
-    render_fixed_styled, render_in_base, render_into, render_styled, ExponentStyle, FixedLayout,
-    Notation, RenderOptions,
+    exponent_marker, render, render_fixed_into, render_in_base, render_into, ExponentStyle,
+    FixedLayout, Notation, RenderOptions,
 };
-pub use scale::{
-    estimate_k, initial_state, EstimateScaler, GayScaler, InitialState, IterativeScaler, LogScaler,
-    ScaledState, Scaler, ScalingStrategy,
-};
+pub use scale::{estimate_k, initial_state, InitialState, ScaledState, ScalingStrategy};
 pub use sink::{DigitSink, FmtSink, IoSink, SliceSink};
 pub use stream::DigitStream;
 

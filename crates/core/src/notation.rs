@@ -12,7 +12,7 @@
 //! serves every caller and emits runs through [`DigitSink::push_slice`]:
 //! digit values are mapped to characters a chunk at a time, and the
 //! shortest tier hands it ASCII written straight from a `u64` significand.
-//! The `String`-returning functions ([`render_styled`] and friends) are thin
+//! The `String`-returning [`render`] and [`render_in_base`] are thin
 //! wrappers collecting into a `Vec<u8>`.
 
 use crate::fixed::FixedDigits;
@@ -65,13 +65,14 @@ impl Default for Notation {
 /// decimal separator and integer digit grouping.
 ///
 /// ```
-/// use fpp_core::{render_styled, Digits, Notation, RenderOptions};
-/// let d = Digits { digits: vec![1, 2, 3, 4, 5, 6, 7], k: 7 };
+/// use fpp_core::{render_into, Notation, RenderOptions};
 /// let opts = RenderOptions {
 ///     group_separator: Some('_'),
 ///     ..RenderOptions::default()
 /// };
-/// assert_eq!(render_styled(&d, Notation::Positional, 10, &opts), "1_234_567");
+/// let mut out = Vec::new();
+/// render_into(&mut out, &[1, 2, 3, 4, 5, 6, 7], 7, Notation::Positional, 10, &opts);
+/// assert_eq!(out, b"1_234_567");
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RenderOptions {
@@ -161,19 +162,9 @@ pub fn render(digits: &Digits, notation: Notation) -> String {
 /// exponent marker appropriate for `base`.
 #[must_use]
 pub fn render_in_base(digits: &Digits, notation: Notation, base: u64) -> String {
-    render_styled(digits, notation, base, &RenderOptions::default())
-}
-
-/// Renders free-format digits with full cosmetic control.
-#[must_use]
-pub fn render_styled(
-    digits: &Digits,
-    notation: Notation,
-    base: u64,
-    opts: &RenderOptions,
-) -> String {
     let mut out = Vec::with_capacity(digits.digits.len() + 8);
-    render_into(&mut out, &digits.digits, digits.k, notation, base, opts);
+    let opts = RenderOptions::default();
+    render_into(&mut out, &digits.digits, digits.k, notation, base, &opts);
     String::from_utf8(out).expect("renderer emits UTF-8")
 }
 
@@ -235,36 +226,9 @@ fn write_u64(buf: &mut [u8; 20], mut n: u64) -> usize {
     i
 }
 
-/// Renders fixed-format digits (including `#` marks) with the given
-/// notation (base-10 exponent marker; use [`render_fixed_in_base`] for
-/// other bases). The digit string always extends exactly to the requested
-/// position, so trailing zeros are preserved (`1.500`).
-#[must_use]
-pub fn render_fixed(digits: &FixedDigits, notation: Notation) -> String {
-    render_fixed_in_base(digits, notation, 10)
-}
-
-/// Renders fixed-format digits, choosing the exponent marker appropriate
-/// for `base`.
-#[must_use]
-pub fn render_fixed_in_base(digits: &FixedDigits, notation: Notation, base: u64) -> String {
-    render_fixed_styled(digits, notation, base, &RenderOptions::default())
-}
-
-/// Renders fixed-format digits with full cosmetic control.
-#[must_use]
-pub fn render_fixed_styled(
-    digits: &FixedDigits,
-    notation: Notation,
-    base: u64,
-    opts: &RenderOptions,
-) -> String {
-    let mut out = Vec::with_capacity(digits.digits.len() + digits.insignificant + 8);
-    render_fixed_into(&mut out, &digits.layout(true), notation, base, opts);
-    String::from_utf8(out).expect("renderer emits UTF-8")
-}
-
-/// Renders fixed-format digits into a sink.
+/// Renders fixed-format digits into a sink. The digit string always
+/// extends exactly to `layout.position`, so trailing zeros are preserved
+/// (`1.500`).
 pub fn render_fixed_into(
     sink: &mut impl DigitSink,
     layout: &FixedLayout<'_>,
@@ -504,6 +468,19 @@ mod tests {
         }
     }
 
+    fn styled(d: &Digits, notation: Notation, base: u64, opts: &RenderOptions) -> String {
+        let mut out = Vec::new();
+        render_into(&mut out, &d.digits, d.k, notation, base, opts);
+        String::from_utf8(out).expect("renderer emits UTF-8")
+    }
+
+    fn fixed(fd: &FixedDigits, notation: Notation) -> String {
+        let mut out = Vec::new();
+        let opts = RenderOptions::default();
+        render_fixed_into(&mut out, &fd.layout(true), notation, 10, &opts);
+        String::from_utf8(out).expect("renderer emits UTF-8")
+    }
+
     #[test]
     fn positional_layouts() {
         assert_eq!(render(&free(&[3], 0), Notation::Positional), "0.3");
@@ -549,15 +526,15 @@ mod tests {
             insignificant: 2,
             position: -2,
         };
-        assert_eq!(render_fixed(&fd, Notation::Positional), "100.##");
+        assert_eq!(fixed(&fd, Notation::Positional), "100.##");
         let fd = FixedDigits {
             digits: vec![3, 3, 3],
             k: 0,
             insignificant: 3,
             position: -6,
         };
-        assert_eq!(render_fixed(&fd, Notation::Positional), "0.333###");
-        assert_eq!(render_fixed(&fd, Notation::Scientific), "3.33###e-1");
+        assert_eq!(fixed(&fd, Notation::Positional), "0.333###");
+        assert_eq!(fixed(&fd, Notation::Scientific), "3.33###e-1");
         // hash_marks = false prints the insignificant tail as zeros.
         let mut out = Vec::new();
         render_fixed_into(
@@ -579,24 +556,18 @@ mod tests {
         };
         let d = free(&[1, 2, 3, 4, 5, 6], 5);
         assert_eq!(
-            render_styled(&d, Notation::Positional, 10, &opts),
+            styled(&d, Notation::Positional, 10, &opts),
             "12\u{202f}345,6"
         );
-        assert_eq!(
-            render_styled(&d, Notation::Scientific, 10, &opts),
-            "1,23456e+04"
-        );
+        assert_eq!(styled(&d, Notation::Scientific, 10, &opts), "1,23456e+04");
         let tiny = free(&[5], -323);
-        assert_eq!(
-            render_styled(&tiny, Notation::Scientific, 10, &opts),
-            "5e-324"
-        );
+        assert_eq!(styled(&tiny, Notation::Scientific, 10, &opts), "5e-324");
         let upper = RenderOptions {
             exponent_style: ExponentStyle::Uppercase,
             ..RenderOptions::default()
         };
         assert_eq!(
-            render_styled(&free(&[7], 10), Notation::Scientific, 10, &upper),
+            styled(&free(&[7], 10), Notation::Scientific, 10, &upper),
             "7E9"
         );
         // grouping only touches the integer part and leaves short ones alone
@@ -605,11 +576,11 @@ mod tests {
             ..RenderOptions::default()
         };
         assert_eq!(
-            render_styled(&free(&[1, 2, 3], 3), Notation::Positional, 10, &grouped),
+            styled(&free(&[1, 2, 3], 3), Notation::Positional, 10, &grouped),
             "123"
         );
         assert_eq!(
-            render_styled(&free(&[1, 2, 3, 4], 4), Notation::Positional, 10, &grouped),
+            styled(&free(&[1, 2, 3, 4], 4), Notation::Positional, 10, &grouped),
             "1_234"
         );
     }
@@ -622,14 +593,14 @@ mod tests {
             insignificant: 0,
             position: 0,
         };
-        assert_eq!(render_fixed(&fd, Notation::Positional), "0");
+        assert_eq!(fixed(&fd, Notation::Positional), "0");
         let fd = FixedDigits {
             digits: vec![],
             k: 0,
             insignificant: 0,
             position: -3,
         };
-        assert_eq!(render_fixed(&fd, Notation::Positional), "0.000");
+        assert_eq!(fixed(&fd, Notation::Positional), "0.000");
     }
 
     #[test]
@@ -657,15 +628,15 @@ mod tests {
             ..RenderOptions::default()
         };
         assert_eq!(
-            render_styled(&free(&[1], 1), Notation::Scientific, 10, &opts),
+            styled(&free(&[1], 1), Notation::Scientific, 10, &opts),
             "1e+00"
         );
         assert_eq!(
-            render_styled(&free(&[1], 124), Notation::Scientific, 10, &opts),
+            styled(&free(&[1], 124), Notation::Scientific, 10, &opts),
             "1e+123"
         );
         assert_eq!(
-            render_styled(&free(&[1], -8), Notation::Scientific, 10, &opts),
+            styled(&free(&[1], -8), Notation::Scientific, 10, &opts),
             "1e-09"
         );
     }

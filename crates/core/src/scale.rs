@@ -10,18 +10,20 @@
 //! Finding `k` is where the paper's performance contribution lives (§3.2,
 //! Table 2): Steele & White's iterative search costs `O(|log v|)`
 //! high-precision operations, while an estimate within one of the true `k`
-//! plus a single checked fixup costs `O(1)`. Four strategies are provided:
+//! plus a single checked fixup costs `O(1)`. [`ScalingStrategy`] selects one
+//! of four strategies:
 //!
-//! * [`IterativeScaler`] — the Steele–White loop (Figure 1's `scale`).
-//! * [`LogScaler`] — `⌈log_B v − 1e-10⌉` from an accurate logarithm
-//!   (Figure 2), then fixup.
-//! * [`EstimateScaler`] — the paper's two-flop estimator
+//! * [`ScalingStrategy::Iterative`] — the Steele–White loop (Figure 1's
+//!   `scale`).
+//! * [`ScalingStrategy::Log`] — `⌈log_B v − 1e-10⌉` from an accurate
+//!   logarithm (Figure 2), then fixup.
+//! * [`ScalingStrategy::Estimate`] — the paper's two-flop estimator
 //!   `⌈(e + len(f) − 1) · log_B 2 − 1e-10⌉` (Figure 3), then fixup. The
 //!   fixup is penalty-free: when the estimate is one low, the corrective
 //!   multiplications are exactly the ones digit generation would have
 //!   performed anyway.
-//! * [`GayScaler`] — David Gay's five-flop first-degree Taylor estimator for
-//!   `log₁₀ v` (related work, §5), for the ablation benchmark.
+//! * [`ScalingStrategy::Gay`] — David Gay's five-flop first-degree Taylor
+//!   estimator for `log₁₀ v` (related work, §5), a comparison row in `table2`.
 
 use fpp_bignum::{Nat, PowerTable, Scratch};
 use fpp_float::SoftFloat;
@@ -102,52 +104,6 @@ pub fn initial_state(v: &SoftFloat) -> InitialState {
     }
 }
 
-/// A strategy for computing the scaling factor `k` and rescaling the state.
-///
-/// All strategies produce identical [`ScaledState`]s (property-tested); they
-/// differ only in cost, which Table 2 of the paper measures.
-pub trait Scaler {
-    /// Scales `state` in place for output base `powers.base()`, returning
-    /// the scaling factor `k`. On return `r/s = v/B^(k-1)`, ready for digit
-    /// generation.
-    ///
-    /// `value` describes the float being printed (the estimators read its
-    /// mantissa length and exponent). `high_ok` is true when the upper
-    /// endpoint of the rounding range itself reads back as `v`, in which
-    /// case `k` must satisfy the strict `high < Bᵏ`. `scratch` supplies
-    /// recycled limb buffers so a warmed-up pipeline scales without heap
-    /// allocation.
-    fn scale_in(
-        &self,
-        state: &mut InitialState,
-        value: &SoftFloat,
-        high_ok: bool,
-        powers: &mut PowerTable,
-        scratch: &mut Scratch,
-    ) -> i32;
-
-    /// Value-passing convenience over [`Scaler::scale_in`] (allocates its
-    /// own scratch; the batch entry points use this, the `write_*` pipeline
-    /// uses `scale_in` with the context's pooled buffers).
-    fn scale(
-        &self,
-        mut state: InitialState,
-        value: &SoftFloat,
-        high_ok: bool,
-        powers: &mut PowerTable,
-    ) -> ScaledState {
-        let mut scratch = Scratch::new();
-        let k = self.scale_in(&mut state, value, high_ok, powers, &mut scratch);
-        ScaledState {
-            r: state.r,
-            s: state.s,
-            m_plus: state.m_plus,
-            m_minus: state.m_minus,
-            k,
-        }
-    }
-}
-
 /// `high ≥ Bᵏ` test against the current scale, honouring inclusivity; `sum`
 /// is a recycled buffer for `r + m⁺`.
 fn too_low(state: &InitialState, sum: &mut Nat, high_ok: bool) -> bool {
@@ -207,40 +163,33 @@ fn apply_estimate_in(
 /// Costs `O(|log_B v|)` big-integer multiplications — the paper's Table 2
 /// measures this at roughly two orders of magnitude slower than the
 /// estimate-based strategies over the full double-precision range.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct IterativeScaler;
-
-impl Scaler for IterativeScaler {
-    fn scale_in(
-        &self,
-        state: &mut InitialState,
-        _value: &SoftFloat,
-        high_ok: bool,
-        powers: &mut PowerTable,
-        scratch: &mut Scratch,
-    ) -> i32 {
-        let base = powers.base();
-        let mut k: i32 = 0;
-        let mut sum = scratch.take();
-        loop {
+fn iterative_in(
+    state: &mut InitialState,
+    high_ok: bool,
+    powers: &mut PowerTable,
+    scratch: &mut Scratch,
+) -> i32 {
+    let base = powers.base();
+    let mut k: i32 = 0;
+    let mut sum = scratch.take();
+    loop {
+        if too_low(state, &mut sum, high_ok) {
+            // k too low
+            state.s.mul_u64(base);
+            k += 1;
+        } else {
+            // Premultiply the numerators (the lookahead the original
+            // formulation performs on copies) and re-test.
+            state.r.mul_u64(base);
+            state.m_plus.mul_u64(base);
+            state.m_minus.mul_u64(base);
             if too_low(state, &mut sum, high_ok) {
-                // k too low
-                state.s.mul_u64(base);
-                k += 1;
-            } else {
-                // Premultiply the numerators (the lookahead the original
-                // formulation performs on copies) and re-test.
-                state.r.mul_u64(base);
-                state.m_plus.mul_u64(base);
-                state.m_minus.mul_u64(base);
-                if too_low(state, &mut sum, high_ok) {
-                    // k correct: the premultiplied state is generation form.
-                    scratch.put(sum);
-                    return k;
-                }
-                // k too high
-                k -= 1;
+                // k correct: the premultiplied state is generation form.
+                scratch.put(sum);
+                return k;
             }
+            // k too high
+            k -= 1;
         }
     }
 }
@@ -269,33 +218,16 @@ const LOG_FUDGE: f64 = 1e-10;
 
 /// Scaling via an accurate floating-point logarithm (Figure 2):
 /// `est = ⌈log_B v − 1e-10⌉`, then one checked fixup.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct LogScaler;
-
-impl Scaler for LogScaler {
-    fn scale_in(
-        &self,
-        state: &mut InitialState,
-        value: &SoftFloat,
-        high_ok: bool,
-        powers: &mut PowerTable,
-        scratch: &mut Scratch,
-    ) -> i32 {
-        let log_b_v = log2_of(value) / (powers.base() as f64).log2();
-        let est = (log_b_v - LOG_FUDGE).ceil() as i32;
-        apply_estimate_in(state, est, high_ok, powers, scratch)
-    }
+fn log_estimate(value: &SoftFloat, output_base: u64) -> i32 {
+    let log_b_v = log2_of(value) / (output_base as f64).log2();
+    (log_b_v - LOG_FUDGE).ceil() as i32
 }
 
-/// The paper's fast estimator (§3.2, Figure 3): two floating-point
-/// operations. `log₂ v ≥ e + len(f) − 1` with error below one, so
-/// `est = ⌈(e + len(f) − 1) · log_B 2 − 1e-10⌉` never overshoots `k` and
-/// undershoots by at most one.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct EstimateScaler;
-
-/// The raw §3.2 estimate for a float `f × bᵉ` (exposed for the estimator
-/// property tests and the fixup-ablation bench).
+/// The paper's fast estimator (§3.2, Figure 3) for a float `f × bᵉ`: two
+/// floating-point operations. `log₂ v ≥ e + len(f) − 1` with error below
+/// one, so `est = ⌈(e + len(f) − 1) · log_B 2 − 1e-10⌉` never overshoots `k`
+/// and undershoots by at most one. Public for the estimator tests and the
+/// benchmark's scale-estimate stage.
 #[must_use]
 pub fn estimate_k(value: &SoftFloat, output_base: u64) -> i32 {
     // len(f) in *bits* when b = 2; in general, ⌊log₂ f⌋ + 1 scaled by log₂ b
@@ -316,69 +248,42 @@ pub fn estimate_k(value: &SoftFloat, output_base: u64) -> i32 {
     }
 }
 
-impl Scaler for EstimateScaler {
-    fn scale_in(
-        &self,
-        state: &mut InitialState,
-        value: &SoftFloat,
-        high_ok: bool,
-        powers: &mut PowerTable,
-        scratch: &mut Scratch,
-    ) -> i32 {
-        let est = estimate_k(value, powers.base());
-        apply_estimate_in(state, est, high_ok, powers, scratch)
-    }
-}
-
 /// Gay's estimator: a first-degree Taylor expansion of `log₁₀`
 /// around 1.5 applied to the fraction part of the value (five floating-point
 /// operations; see Gay, "Correctly rounded binary-decimal and decimal-binary
-/// conversions", 1990). More accurate than [`EstimateScaler`] but costlier;
+/// conversions", 1990). More accurate than [`estimate_k`] but costlier;
 /// with the penalty-free fixup, the extra accuracy buys nothing (§5), which
-/// the `fixup_ablation` bench demonstrates.
+/// `table2`'s scaling-only column shows.
 ///
 /// Defined for output base 10; other bases fall back to the paper's
 /// estimator.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct GayScaler;
-
-impl Scaler for GayScaler {
-    fn scale_in(
-        &self,
-        state: &mut InitialState,
-        value: &SoftFloat,
-        high_ok: bool,
-        powers: &mut PowerTable,
-        scratch: &mut Scratch,
-    ) -> i32 {
-        if powers.base() != 10 || value.base() != 2 {
-            return EstimateScaler.scale_in(state, value, high_ok, powers, scratch);
-        }
-        // v = x · 2^s2 with x ∈ [1, 2):
-        // log10 v ≈ ((x − 1.5)/1.5) / ln 10 + log10(1.5) + s2·log10 2.
-        let bits = value.mantissa().bit_len();
-        let x = if bits <= 53 {
-            value.mantissa().to_f64_lossy() / 2f64.powi(bits as i32 - 1)
-        } else {
-            1.5
-        };
-        let s2 = value.exponent() as f64 + (bits as f64 - 1.0);
-        const LOG10_2: f64 = std::f64::consts::LOG10_2;
-        const LOG10_1_5: f64 = 0.176_091_259_055_681_24;
-        const INV_LN10_OVER_1_5: f64 = 0.289_529_654_602_168;
-        // The tangent line overshoots the concave log₁₀ by at most 0.03139
-        // (attained at x = 1); subtracting that keeps the estimate on the
-        // never-overshoot side while undershooting by well under one.
-        const TANGENT_MARGIN: f64 = 0.0314;
-        let log10_v = (x - 1.5) * INV_LN10_OVER_1_5 + LOG10_1_5 + s2 * LOG10_2 - TANGENT_MARGIN;
-        let est = (log10_v - LOG_FUDGE).ceil() as i32;
-        apply_estimate_in(state, est, high_ok, powers, scratch)
+fn gay_estimate(value: &SoftFloat, output_base: u64) -> i32 {
+    if output_base != 10 || value.base() != 2 {
+        return estimate_k(value, output_base);
     }
+    // v = x · 2^s2 with x ∈ [1, 2):
+    // log10 v ≈ ((x − 1.5)/1.5) / ln 10 + log10(1.5) + s2·log10 2.
+    let bits = value.mantissa().bit_len();
+    let x = if bits <= 53 {
+        value.mantissa().to_f64_lossy() / 2f64.powi(bits as i32 - 1)
+    } else {
+        1.5
+    };
+    let s2 = value.exponent() as f64 + (bits as f64 - 1.0);
+    const LOG10_2: f64 = std::f64::consts::LOG10_2;
+    const LOG10_1_5: f64 = 0.176_091_259_055_681_24;
+    const INV_LN10_OVER_1_5: f64 = 0.289_529_654_602_168;
+    // The tangent line overshoots the concave log₁₀ by at most 0.03139
+    // (attained at x = 1); subtracting that keeps the estimate on the
+    // never-overshoot side while undershooting by well under one.
+    const TANGENT_MARGIN: f64 = 0.0314;
+    let log10_v = (x - 1.5) * INV_LN10_OVER_1_5 + LOG10_1_5 + s2 * LOG10_2 - TANGENT_MARGIN;
+    (log10_v - LOG_FUDGE).ceil() as i32
 }
 
-/// Which scaling strategy a formatter should use (a closed enum so the
-/// high-level API stays object-free; the [`Scaler`] trait remains available
-/// for custom strategies at the engine level).
+/// Which scaling strategy finds `k` and rescales the state. All four
+/// produce identical [`ScaledState`]s; they differ only in cost, which
+/// Table 2 of the paper measures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ScalingStrategy {
     /// The paper's fast estimator with penalty-free fixup (Figure 3).
@@ -393,24 +298,16 @@ pub enum ScalingStrategy {
 }
 
 impl ScalingStrategy {
-    /// Runs the chosen strategy.
-    #[must_use]
-    pub fn scale(
-        self,
-        state: InitialState,
-        value: &SoftFloat,
-        high_ok: bool,
-        powers: &mut PowerTable,
-    ) -> ScaledState {
-        match self {
-            ScalingStrategy::Estimate => EstimateScaler.scale(state, value, high_ok, powers),
-            ScalingStrategy::Log => LogScaler.scale(state, value, high_ok, powers),
-            ScalingStrategy::Iterative => IterativeScaler.scale(state, value, high_ok, powers),
-            ScalingStrategy::Gay => GayScaler.scale(state, value, high_ok, powers),
-        }
-    }
-
-    /// Runs the chosen strategy in place (see [`Scaler::scale_in`]).
+    /// Scales `state` in place for output base `powers.base()`, returning
+    /// the scaling factor `k`. On return `r/s = v/B^(k-1)`, ready for digit
+    /// generation.
+    ///
+    /// `value` describes the float being printed (the estimators read its
+    /// mantissa length and exponent). `high_ok` is true when the upper
+    /// endpoint of the rounding range itself reads back as `v`, in which
+    /// case `k` must satisfy the strict `high < Bᵏ`. `scratch` supplies
+    /// recycled limb buffers so a warmed-up pipeline scales without heap
+    /// allocation.
     pub fn scale_in(
         self,
         state: &mut InitialState,
@@ -419,15 +316,35 @@ impl ScalingStrategy {
         powers: &mut PowerTable,
         scratch: &mut Scratch,
     ) -> i32 {
-        match self {
-            ScalingStrategy::Estimate => {
-                EstimateScaler.scale_in(state, value, high_ok, powers, scratch)
-            }
-            ScalingStrategy::Log => LogScaler.scale_in(state, value, high_ok, powers, scratch),
-            ScalingStrategy::Iterative => {
-                IterativeScaler.scale_in(state, value, high_ok, powers, scratch)
-            }
-            ScalingStrategy::Gay => GayScaler.scale_in(state, value, high_ok, powers, scratch),
+        let est = match self {
+            ScalingStrategy::Estimate => estimate_k(value, powers.base()),
+            ScalingStrategy::Log => log_estimate(value, powers.base()),
+            ScalingStrategy::Gay => gay_estimate(value, powers.base()),
+            ScalingStrategy::Iterative => return iterative_in(state, high_ok, powers, scratch),
+        };
+        apply_estimate_in(state, est, high_ok, powers, scratch)
+    }
+
+    /// Value-passing convenience over [`ScalingStrategy::scale_in`]
+    /// (allocates its own scratch; the batch entry points use this, the
+    /// `write_*` pipeline uses `scale_in` with the context's pooled
+    /// buffers).
+    #[must_use]
+    pub fn scale(
+        self,
+        mut state: InitialState,
+        value: &SoftFloat,
+        high_ok: bool,
+        powers: &mut PowerTable,
+    ) -> ScaledState {
+        let mut scratch = Scratch::new();
+        let k = self.scale_in(&mut state, value, high_ok, powers, &mut scratch);
+        ScaledState {
+            r: state.r,
+            s: state.s,
+            m_plus: state.m_plus,
+            m_minus: state.m_minus,
+            k,
         }
     }
 }

@@ -6,8 +6,13 @@
 
 use fpp_baseline::simple_fixed::{leading_position, simple_fixed_digits};
 use fpp_bignum::{PowerTable, Rat};
-use fpp_core::with_thread_powers;
+use fpp_core::{
+    render_fixed_into, with_thread_powers, ExponentStyle, FixedLayout, Notation, RenderOptions,
+};
 use fpp_float::{Decoded, FloatFormat, SoftFloat};
+
+/// The largest precision the conversions accept: 2²⁴ digits.
+pub const MAX_PRECISION: u32 = 1 << 24;
 
 fn special(v: f64) -> Option<String> {
     match v.decode() {
@@ -15,6 +20,51 @@ fn special(v: f64) -> Option<String> {
         Decoded::Infinite { negative } => Some(if negative { "-inf" } else { "inf" }.to_string()),
         _ => None,
     }
+}
+
+fn check_precision(precision: u32) {
+    assert!(
+        precision <= MAX_PRECISION,
+        "precision above MAX_PRECISION (2^24 digits)"
+    );
+}
+
+/// Zero's digits: the single digit 0 at `k = 1`.
+fn zero() -> (Vec<u8>, i32) {
+    (vec![0], 1)
+}
+
+/// The digits of `|v|` from `source`, read `0.d₁d₂… × 10ᵏ`.
+fn digits_of(
+    v: f64,
+    source: impl FnOnce(&SoftFloat, &mut PowerTable) -> (Vec<u8>, i32),
+) -> (Vec<u8>, i32) {
+    SoftFloat::from_f64(v.abs()).map_or_else(zero, |sf| {
+        with_thread_powers(10, |powers| source(&sf, powers))
+    })
+}
+
+/// Lays out the sign of `v`, then `digits` (`0.d₁d₂… × 10ᵏ`) padded with
+/// zeros to `positions` digit positions, with C's signed two-digit exponent
+/// wherever `notation` picks scientific form.
+fn emit(v: f64, digits: &[u8], k: i32, positions: usize, notation: Notation) -> String {
+    let mut out = Vec::with_capacity(positions + 8);
+    if v.is_sign_negative() {
+        out.push(b'-');
+    }
+    let layout = FixedLayout {
+        digits,
+        k,
+        insignificant: positions - digits.len(),
+        position: k - positions as i32,
+        hash_marks: false,
+    };
+    let opts = RenderOptions {
+        exponent_style: ExponentStyle::PrintfSigned,
+        ..RenderOptions::default()
+    };
+    render_fixed_into(&mut out, &layout, notation, 10, &opts);
+    String::from_utf8(out).expect("renderer emits ASCII")
 }
 
 /// `%.*e`: scientific notation with `precision` digits after the point and
@@ -25,40 +75,20 @@ fn special(v: f64) -> Option<String> {
 /// assert_eq!(fpp::printf::format_e(0.0, 2), "0.00e+00");
 /// assert_eq!(fpp::printf::format_e(-2.5, 0), "-2e+00"); // half-to-even
 /// ```
+///
+/// # Panics
+///
+/// Panics if `precision` exceeds [`MAX_PRECISION`].
 #[must_use]
 pub fn format_e(v: f64, precision: u32) -> String {
-    assert!(precision < 1 << 24, "precision above 2^24 digits");
+    check_precision(precision);
     if let Some(s) = special(v) {
         return s;
     }
-    let negative = v.is_sign_negative();
-    let sign = if negative { "-" } else { "" };
-    let mag = v.abs();
-    if mag == 0.0 {
-        return format!("{sign}{}e+00", zero_body(precision));
-    }
-    let sf = SoftFloat::from_f64(mag).expect("positive finite");
-    let (digits, k) =
-        with_thread_powers(10, |powers| simple_fixed_digits(&sf, precision + 1, powers));
-    let mut body = String::new();
-    body.push((b'0' + digits[0]) as char);
-    if precision > 0 {
-        body.push('.');
-        for &d in &digits[1..] {
-            body.push((b'0' + d) as char);
-        }
-    }
-    let exp = k - 1;
-    let exp_sign = if exp < 0 { '-' } else { '+' };
-    format!("{sign}{body}e{exp_sign}{:02}", exp.abs())
-}
-
-fn zero_body(precision: u32) -> String {
-    if precision == 0 {
-        "0".to_string()
-    } else {
-        format!("0.{}", "0".repeat(precision as usize))
-    }
+    let (digits, k) = digits_of(v, |sf, powers| {
+        simple_fixed_digits(sf, precision + 1, powers)
+    });
+    emit(v, &digits, k, precision as usize + 1, Notation::Scientific)
 }
 
 /// `%.*f`: positional notation with exactly `precision` fractional digits,
@@ -70,74 +100,44 @@ fn zero_body(precision: u32) -> String {
 /// assert_eq!(fpp::printf::format_f(-0.0004, 3), "-0.000");
 /// assert_eq!(fpp::printf::format_f(1e21, 0), "1000000000000000000000");
 /// ```
+///
+/// # Panics
+///
+/// Panics if `precision` exceeds [`MAX_PRECISION`].
 #[must_use]
 pub fn format_f(v: f64, precision: u32) -> String {
-    assert!(precision <= 1 << 24, "precision above 2^24 digits");
+    check_precision(precision);
     if let Some(s) = special(v) {
         return s;
     }
-    let negative = v.is_sign_negative();
-    let sign = if negative { "-" } else { "" };
-    let mag = v.abs();
-    if mag == 0.0 {
-        return format!("{sign}{}", zero_body(precision));
-    }
-    let sf = SoftFloat::from_f64(mag).expect("positive finite");
     let j = -(precision as i32);
-    match with_thread_powers(10, |powers| absolute_digits(&sf, j, powers)) {
-        None => format!("{sign}{}", zero_body(precision)),
-        Some((digits, k)) => {
-            // digits[i] carries the digit of weight 10^(k-1-i); positions
-            // below the last digit (possible after a decade carry) are
-            // zeros. The string runs from max(k,1)-1 down to -precision.
-            let digit_at = |i: i64| -> char {
-                if (0..digits.len() as i64).contains(&i) {
-                    (b'0' + digits[i as usize]) as char
-                } else {
-                    '0'
-                }
-            };
-            let mut out = String::from(sign);
-            if k <= 0 {
-                out.push('0');
-            } else {
-                for i in 0..i64::from(k) {
-                    out.push(digit_at(i));
-                }
-            }
-            if precision > 0 {
-                out.push('.');
-                for t in 0..precision as i32 {
-                    // fractional position -(t+1) is index k + t
-                    out.push(digit_at(i64::from(k) + i64::from(t)));
-                }
-            }
-            out
-        }
-    }
+    let (digits, k) = digits_of(v, |sf, powers| absolute_digits(sf, j, powers));
+    // Positions run from k-1 down to j; after a decade carry the last one
+    // lies below the digits and prints as a zero.
+    emit(v, &digits, k, (k - j) as usize, Notation::Positional)
 }
 
 /// Correctly rounded digits of `v` ending exactly at absolute position `j`
 /// (straightforward `printf` semantics, not the `#`-mark semantics of the
-/// core fixed format). Returns `None` when the value rounds to zero.
-fn absolute_digits(v: &SoftFloat, j: i32, powers: &mut PowerTable) -> Option<(Vec<u8>, i32)> {
+/// core fixed format). A value that rounds to zero gets [`zero`]'s digits.
+fn absolute_digits(v: &SoftFloat, j: i32, powers: &mut PowerTable) -> (Vec<u8>, i32) {
     // Zero check: v < 10^j / 2 rounds to zero; the exact tie rounds to even
     // (zero), matching round-half-even.
     let half = Rat::pow_i32(10, j) * Rat::from_ratio_u64(1, 2);
-    if v.value() < half || v.value() == half {
-        return None;
+    if v.value() <= half {
+        return zero();
     }
     // Rounding `count = k_v − j` significant digits rounds exactly at
     // position j (k_v is v's true leading position). A carry across a
     // decade (99.996 → 100.00) returns k = k_v + 1 with the same digit
-    // vector; the renderer zero-pads the positions below the carry.
+    // vector, one position short of j.
     let k_v = leading_position(v, powers);
     let count = k_v - j;
     if count < 1 {
         // v is entirely below the cut but above half of it: rounds to 10^j.
-        return Some((vec![1], j + 1));
+        return (vec![1], j + 1);
     }
-    Some(simple_fixed_digits(v, count as u32, powers))
+    simple_fixed_digits(v, count as u32, powers)
 }
 
 /// `%.*g`: the shorter of `%e`/`%f` per C's rules — `precision` significant
@@ -149,43 +149,27 @@ fn absolute_digits(v: &SoftFloat, j: i32, powers: &mut PowerTable) -> Option<(Ve
 /// assert_eq!(fpp::printf::format_g(123456.0, 3), "1.23e+05");
 /// assert_eq!(fpp::printf::format_g(1500.0, 6), "1500");
 /// ```
+///
+/// # Panics
+///
+/// Panics if `precision` exceeds [`MAX_PRECISION`].
 #[must_use]
 pub fn format_g(v: f64, precision: u32) -> String {
+    check_precision(precision);
     if let Some(s) = special(v) {
         return s;
     }
     let p = precision.max(1);
-    let negative = v.is_sign_negative();
-    let sign = if negative { "-" } else { "" };
-    let mag = v.abs();
-    if mag == 0.0 {
-        return format!("{sign}0");
-    }
-    let sf = SoftFloat::from_f64(mag).expect("positive finite");
-    let (mut digits, k) = with_thread_powers(10, |powers| simple_fixed_digits(&sf, p, powers));
-    // C: use %e iff exponent < -4 or exponent >= precision (exponent = k-1).
-    let exp = k - 1;
+    let (mut digits, k) = digits_of(v, |sf, powers| simple_fixed_digits(sf, p, powers));
     while digits.len() > 1 && digits.last() == Some(&0) {
         digits.pop();
     }
-    if exp < -4 || exp >= p as i32 {
-        let mut body = String::new();
-        body.push((b'0' + digits[0]) as char);
-        if digits.len() > 1 {
-            body.push('.');
-            for &d in &digits[1..] {
-                body.push((b'0' + d) as char);
-            }
-        }
-        let exp_sign = if exp < 0 { '-' } else { '+' };
-        format!("{sign}{body}e{exp_sign}{:02}", exp.abs())
-    } else {
-        let d = fpp_core::Digits { digits, k };
-        format!(
-            "{sign}{}",
-            fpp_core::render(&d, fpp_core::Notation::Positional)
-        )
-    }
+    // C: %e iff the exponent k-1 is < -4 or >= p.
+    let notation = Notation::Auto {
+        low: -4,
+        high: p as i32,
+    };
+    emit(v, &digits, k, digits.len(), notation)
 }
 
 /// `%a`: C99 hexadecimal floating-point notation — exact by construction
@@ -206,8 +190,13 @@ pub fn format_g(v: f64, precision: u32) -> String {
 /// assert_eq!(fpp::printf::format_a(3.0, Some(3)), "0x1.800p+1");
 /// assert_eq!(fpp::printf::format_a(0.1, Some(2)), "0x1.9ap-4");
 /// ```
+///
+/// # Panics
+///
+/// Panics if `precision` exceeds [`MAX_PRECISION`].
 #[must_use]
 pub fn format_a(v: f64, precision: Option<u32>) -> String {
+    check_precision(precision.unwrap_or(0));
     if let Some(s) = special(v) {
         return s;
     }
@@ -324,7 +313,8 @@ impl std::error::Error for SpecError {}
 ///
 /// # Errors
 ///
-/// Returns [`SpecError`] when the spec does not match the grammar above.
+/// Returns [`SpecError`] when the spec does not match the grammar above or
+/// its precision exceeds [`MAX_PRECISION`].
 ///
 /// ```
 /// use fpp::printf::format_spec;
@@ -349,9 +339,13 @@ pub fn format_spec(spec: &str, v: f64) -> Result<String, SpecError> {
                     reason: "empty precision",
                 });
             }
-            let p: u32 = rest[..digits_end].parse().map_err(|_| SpecError {
-                reason: "precision too large",
-            })?;
+            let p = rest[..digits_end]
+                .parse()
+                .ok()
+                .filter(|&p| p <= MAX_PRECISION)
+                .ok_or(SpecError {
+                    reason: "precision too large",
+                })?;
             (Some(p), &rest[digits_end..])
         }
     };
@@ -486,6 +480,34 @@ mod tests {
         for bad in ["f", "%", "%.f", "%q", "%.2", "%.2x", "%ff"] {
             assert!(format_spec(bad, 1.0).is_err(), "{bad}");
         }
+    }
+
+    #[test]
+    fn format_spec_rejects_precision_above_max() {
+        for conv in ['e', 'f', 'g', 'a', 'E', 'F', 'G', 'A'] {
+            let spec = format!("%.{}{conv}", MAX_PRECISION + 1);
+            assert!(format_spec(&spec, 1.5).is_err(), "{spec}");
+        }
+        for spec in [
+            "%.99999999e",
+            "%.99999999f",
+            "%.4000000000g",
+            "%.4000000000a",
+        ] {
+            assert!(format_spec(spec, 1.5).is_err(), "{spec}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "precision above MAX_PRECISION")]
+    fn format_g_panics_above_max_precision() {
+        let _ = format_g(1.5, MAX_PRECISION + 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "precision above MAX_PRECISION")]
+    fn format_a_panics_above_max_precision() {
+        let _ = format_a(1.5, Some(MAX_PRECISION + 1));
     }
 
     #[test]
