@@ -39,6 +39,14 @@ echo "== shortest tier: parity tests (release) =="
 cargo test --release -q --test fastpath_parity
 cargo test --release -q --test fastpath_parity -- --ignored ten_million
 
+echo "== fixed tier: parity tests (release) =="
+# Byte-for-byte parity of FixedFormat's fixed tier against the exact
+# engine: every 16-bit value, every Schryer value and sampled doubles, plus
+# the ten-million-double sweep at 17 digits (ignored by default — it needs
+# release-mode speed).
+cargo test --release -q --test exhaustive_f16_fixed
+cargo test --release -q --test exhaustive_f16_fixed -- --ignored ten_million
+
 echo "== printf layer vs std: seeded 200k-case sweep (release) =="
 cargo test --release -q --test printf_diff -- --ignored
 

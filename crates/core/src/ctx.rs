@@ -106,9 +106,10 @@ pub(crate) struct Workspace {
     /// The Table 1 registers `r, s, m⁺, m⁻`, mutated in place through
     /// scaling and generation.
     pub state: InitialState,
-    /// Holds `r + m⁺` for the tc2 test each iteration.
+    /// Holds `r + m⁺` for the tc2 test each iteration, and fixed format's
+    /// `B^j/2` before the loop starts.
     pub sum: Nat,
-    /// Pool of retired limb buffers for products and halves.
+    /// Pool of retired limb buffers for products.
     pub scratch: Scratch,
     /// Digit output of the generation loop.
     pub digits: Vec<u8>,

@@ -147,13 +147,17 @@ pub(crate) fn fixed_format_into(
 
     // Express half = B^j·(s/2) over the common denominator; for j < 0
     // rescale the whole state by B^(-j) so everything stays integral (s is
-    // even by construction, Table 1, so s/2 is the one-bit shift).
-    let mut half = ws.scratch.take();
+    // even by construction, Table 1, so s/2 is the one-bit shift). `half`
+    // lives in the sum register, which the digit loop only needs later: a
+    // pool buffer held here would take the pool's largest one and leave the
+    // scalings below a smaller one to regrow, so a warm context would
+    // still allocate.
+    let half = &mut ws.sum;
     half.assign(&state.s);
     debug_assert!(state.s.is_even(), "Table 1 denominators are even");
-    half >>= 1;
+    *half >>= 1;
     if j >= 0 {
-        powers.scale_assign(&mut half, j as u32, &mut ws.scratch);
+        powers.scale_assign(half, j as u32, &mut ws.scratch);
     } else {
         let exp = (-j) as u32;
         powers.scale_assign(&mut state.r, exp, &mut ws.scratch);
@@ -164,20 +168,18 @@ pub(crate) fn fixed_format_into(
 
     // Expand the rounding range where the requested precision is coarser;
     // an expanded endpoint is inclusive (correct rounding admits equality).
-    let low_ok = half >= state.m_minus;
-    let high_ok = half >= state.m_plus;
-    if half > state.m_minus {
-        state.m_minus.assign(&half);
+    let low_ok = *half >= state.m_minus;
+    let high_ok = *half >= state.m_plus;
+    if *half > state.m_minus {
+        state.m_minus.assign(half);
     }
-    if half > state.m_plus {
-        state.m_plus.assign(&half);
+    if *half > state.m_plus {
+        state.m_plus.assign(half);
     }
 
     // Values at or below half of the last position round to zero (possibly
     // via a tie at exactly B^j/2).
-    let vs_half = state.r.cmp(&half);
-    ws.scratch.put(half);
-    match vs_half {
+    match state.r.cmp(half) {
         std::cmp::Ordering::Less => {
             return FixedMeta {
                 k: j,

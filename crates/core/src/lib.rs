@@ -54,6 +54,11 @@
 //! * [`FreeFormat`] / [`FixedFormat`] — high-level builders over the above
 //!   (sign/zero/NaN handling); their `String` conveniences borrow a
 //!   thread-local [`DtoaContext`] via [`with_thread_context`].
+//! * The `u64` tiers the builders run in front of the exact engines, with
+//!   the exact engines' bytes: the shortest tier answers every base-10
+//!   nearest-mode free-format value, and the fixed tier answers base-10
+//!   fixed format at the float's own precision, such as Table 3's 17
+//!   significant digits.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -62,6 +67,7 @@ mod ctx;
 mod exact;
 pub mod figures;
 mod fixed;
+mod fixed_tier;
 mod free;
 mod generate;
 mod notation;
@@ -174,15 +180,20 @@ pub fn write_fixed(ctx: &mut DtoaContext, sink: &mut impl DigitSink, v: f64, fra
         .write_to(ctx, sink, v);
 }
 
-/// Text used for the values the digit pipeline never sees.
-fn special_str(decoded: Decoded) -> Option<&'static str> {
+/// A finite value's `(negative, mantissa, exponent)`, or the text of a
+/// value the digit pipeline never sees.
+fn finite_or_text(decoded: Decoded) -> Result<(bool, u64, i32), &'static str> {
     match decoded {
-        Decoded::Nan => Some("NaN"),
-        Decoded::Infinite { negative: false } => Some("inf"),
-        Decoded::Infinite { negative: true } => Some("-inf"),
-        Decoded::Zero { negative: false } => Some("0"),
-        Decoded::Zero { negative: true } => Some("-0"),
-        Decoded::Finite { .. } => None,
+        Decoded::Nan => Err("NaN"),
+        Decoded::Infinite { negative: false } => Err("inf"),
+        Decoded::Infinite { negative: true } => Err("-inf"),
+        Decoded::Zero { negative: false } => Err("0"),
+        Decoded::Zero { negative: true } => Err("-0"),
+        Decoded::Finite {
+            negative,
+            mantissa,
+            exponent,
+        } => Ok((negative, mantissa, exponent)),
     }
 }
 
@@ -380,19 +391,33 @@ impl FreeFormat {
             self.base,
             "fpp_core: context base does not match the builder's base"
         );
-        let decoded = v.decode();
-        if let Some(s) = special_str(decoded) {
-            sink.push_slice(s.as_bytes());
-            return true;
+        match finite_or_text(v.decode()) {
+            Ok((negative, mantissa, exponent)) => {
+                self.write_shortest_tier::<F>(sink, negative, mantissa, exponent)
+            }
+            Err(text) => {
+                sink.push_slice(text.as_bytes());
+                true
+            }
         }
+    }
+
+    /// The shortest tier's half of [`FreeFormat::try_write_fast`], for a
+    /// finite value.
+    fn write_shortest_tier<F: FloatFormat>(
+        &self,
+        sink: &mut impl DigitSink,
+        negative: bool,
+        mantissa: u64,
+        exponent: i32,
+    ) -> bool {
         if !self.tier_eligible::<F>() {
             return false;
         }
-        let (negative, mantissa, exponent) = decoded.finite_parts().expect("finite");
         let Some(inc) = free::nearest_inclusivity(self.rounding, mantissa.is_multiple_of(2)) else {
             return false;
         };
-        let narrow = mantissa == 1 << (F::PRECISION - 1) && exponent > F::MIN_EXP;
+        let narrow = shortest::narrow::<F>(mantissa, exponent);
         let (f, e) = shortest::shortest(mantissa, exponent, narrow, inc, self.tie);
         fpp_telemetry::record_fastpath(true);
         if negative {
@@ -412,10 +437,21 @@ impl FreeFormat {
     ///
     /// Panics if `ctx.base()` differs from this builder's base.
     pub fn write_to<F: FloatFormat>(&self, ctx: &mut DtoaContext, sink: &mut impl DigitSink, v: F) {
-        if self.try_write_fast(ctx, sink, v) {
+        assert_eq!(
+            ctx.base(),
+            self.base,
+            "fpp_core: context base does not match the builder's base"
+        );
+        let (negative, mantissa, exponent) = match finite_or_text(v.decode()) {
+            Ok(parts) => parts,
+            Err(text) => {
+                sink.push_slice(text.as_bytes());
+                return;
+            }
+        };
+        if self.write_shortest_tier::<F>(sink, negative, mantissa, exponent) {
             return;
         }
-        let (negative, mantissa, exponent) = v.decode().finite_parts().expect("finite");
         fpp_telemetry::record_fastpath(false);
         if negative {
             sink.push(b'-');
@@ -628,6 +664,13 @@ impl FixedFormat {
     /// byte-identical to [`FixedFormat::format_float`], without allocating
     /// once the context is warm.
     ///
+    /// Base 10 with [`ScalingStrategy::Estimate`], on `f64` or a narrower
+    /// format, first tries the fixed tier: `u64` arithmetic that answers
+    /// §4 exactly when the final position is at the float's own precision,
+    /// as it is for every normal `f64` at the default 17 significant
+    /// digits. Every other request runs the exact Burger–Dybvig engine,
+    /// with the same bytes.
+    ///
     /// # Panics
     ///
     /// Panics if `ctx.base()` differs from this builder's base, or on the
@@ -638,18 +681,54 @@ impl FixedFormat {
             self.base,
             "fpp_core: context base does not match the builder's base"
         );
-        let decoded = v.decode();
-        if let Some(s) = special_str(decoded) {
-            sink.push_slice(s.as_bytes());
-            return;
-        }
-        let (negative, mantissa, exponent) = decoded.finite_parts().expect("finite");
+        let (negative, mantissa, exponent) = match finite_or_text(v.decode()) {
+            Ok(parts) => parts,
+            Err(text) => {
+                sink.push_slice(text.as_bytes());
+                return;
+            }
+        };
         if negative {
             sink.push(b'-');
         }
+        let tier = if self.base == 10
+            && self.strategy == ScalingStrategy::Estimate
+            && shortest::covers::<F>()
+        {
+            fixed_tier::fixed(
+                mantissa,
+                exponent,
+                shortest::narrow::<F>(mantissa, exponent),
+                self.precision,
+                self.tie,
+                &mut ctx.ws.digits,
+            )
+        } else {
+            None
+        };
+        fpp_telemetry::record_fixed_tier(tier.is_some());
+        let meta = tier.unwrap_or_else(|| self.exact_meta::<F>(ctx, mantissa, exponent));
+        let layout = FixedLayout {
+            digits: &ctx.ws.digits,
+            k: meta.k,
+            insignificant: meta.insignificant,
+            position: meta.position,
+            hash_marks: self.hash_marks,
+        };
+        render_fixed_into(sink, &layout, self.notation, self.base, &self.style);
+    }
+
+    /// Runs the exact engine on a positive finite value, leaving its digits
+    /// in `ctx`'s workspace.
+    fn exact_meta<F: FloatFormat>(
+        &self,
+        ctx: &mut DtoaContext,
+        mantissa: u64,
+        exponent: i32,
+    ) -> fixed::FixedMeta {
         ctx.value
             .assign_binary_parts(mantissa, exponent, F::PRECISION, F::MIN_EXP);
-        let meta = match self.precision {
+        match self.precision {
             FixedPrecision::AbsolutePosition(j) => fixed::fixed_format_into(
                 &ctx.value,
                 j,
@@ -666,15 +745,7 @@ impl FixedFormat {
                 &mut ctx.powers,
                 &mut ctx.ws,
             ),
-        };
-        let layout = FixedLayout {
-            digits: &ctx.ws.digits,
-            k: meta.k,
-            insignificant: meta.insignificant,
-            position: meta.position,
-            hash_marks: self.hash_marks,
-        };
-        render_fixed_into(sink, &layout, self.notation, self.base, &self.style);
+        }
     }
 
     /// Formats any float implementing [`FloatFormat`], including signs,

@@ -28,11 +28,11 @@
 //! product word discards it; keeping that word would turn every exact
 //! endpoint hit into an odd "inexact" result. A non-integer becomes an
 //! odd number with the right integer part, provided its fraction lies in
-//! `[2^-63, 1 − 2^-67)`. Giulietti's analysis establishes that for every
-//! `f64` (this is his round-to-odd: `cp` is a multiple of four, so the
-//! bits he drops are exactly the low product word) and, with a coarser
-//! table, for every `f32`. The tests check every `F16` and `Bf16`, and
-//! an `--ignored` sweep every `f32`, against the exact engine.
+//! `[2^-63, 1 − 2^-67)`; outside that band it still does where the
+//! integer part is odd. This is Giulietti's round-to-odd (`cp` is a
+//! multiple of four, so the bits he drops are exactly the low product
+//! word). The root test `theorems.rs` checks it in exact arithmetic for
+//! every binary exponent an `f64` reaches, at both scales.
 //! A round-to-odd result compares with any even integer exactly as the
 //! true value does, and every comparison below is against `4·n` or
 //! `4·n + 2`.
@@ -46,6 +46,12 @@ use fpp_float::FloatFormat;
 /// shared table was sized for.
 pub(crate) fn covers<F: FloatFormat>() -> bool {
     F::PRECISION <= F64_PRECISION && F::MIN_EXP >= F64_MIN_EXP && F::MAX_EXP <= F64_MAX_EXP
+}
+
+/// Whether `v = c·2^q` of format `F` has a power-of-two significand above
+/// the subnormal range, so that its gap below is half the gap above.
+pub(crate) fn narrow<F: FloatFormat>(c: u64, q: i32) -> bool {
+    c == 1 << (F::PRECISION - 1) && q > F::MIN_EXP
 }
 
 // The `f64` parameters as `FloatFormat` defines them (std's inherent
@@ -88,6 +94,23 @@ pub(crate) fn shortest(
     inc: Inclusivity,
     tie: TieBreak,
 ) -> (u64, i32) {
+    let d = decide(c, q, narrow, inc, tie);
+    strip_zeros(d.s, d.k)
+}
+
+/// The tier's answer at its own scale, before trailing zeros are stripped.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Decision {
+    /// The answer is `s·10^k`.
+    pub s: u64,
+    /// The scale: `⌊log10⌋` of the rounding interval's width.
+    pub k: i32,
+    /// Round to odd of `4·high·10^-k`, `high` the interval's upper end.
+    pub vbr: u64,
+}
+
+/// [`shortest`]'s decision, with the answer at the scale it was made.
+pub(crate) fn decide(c: u64, q: i32, narrow: bool, inc: Inclusivity, tie: TieBreak) -> Decision {
     debug_assert!(c > 0 && c < 1 << F64_PRECISION);
     // The interval ends, times four: (4c − 2, 4c + 2), or 4c − 1 below a
     // power of two.
@@ -128,7 +151,8 @@ pub(crate) fn shortest(
     let tp10 = sp10 + 10;
     let (upin, wpin) = (low_in(sp10), high_in(tp10));
     if upin != wpin {
-        return strip_zeros(if upin { sp10 } else { tp10 }, k);
+        let s = if upin { sp10 } else { tp10 };
+        return Decision { s, k, vbr };
     }
     let t = s + 1;
     let (uin, win) = (low_in(s), high_in(t));
@@ -142,7 +166,8 @@ pub(crate) fn shortest(
             std::cmp::Ordering::Equal => tie.rounds_up((s % 10) as u8),
         }
     };
-    strip_zeros(if up { t } else { s }, k)
+    let s = if up { t } else { s };
+    Decision { s, k, vbr }
 }
 
 /// Moves trailing decimal zeros of `f` into the exponent.
@@ -192,7 +217,7 @@ mod tests {
 
     fn digits(v: f64) -> (u64, i32) {
         let (_, c, q) = v.decode().finite_parts().unwrap();
-        let narrow = c == 1 << (F64_PRECISION - 1) && q > F64_MIN_EXP;
+        let narrow = narrow::<f64>(c, q);
         let inc = Inclusivity {
             low_ok: c % 2 == 0,
             high_ok: c % 2 == 0,

@@ -124,6 +124,13 @@ metric_enum! {
         /// Burger–Dybvig engine instead: configurations the tier does not
         /// serve (other bases, directed modes, `fast_path(false)`).
         CoreFastPathFallbacks => "core_fastpath_fallbacks",
+        /// Fixed-format conversions answered by the fixed tier (§4 at the
+        /// float's own precision, no big-integer work).
+        CoreFixedTierHits => "core_fixed_tier_hits",
+        /// Fixed-format conversions of finite values that ran the exact
+        /// engine instead: other bases and strategies, and final positions
+        /// the tier does not serve.
+        CoreFixedTierFallbacks => "core_fixed_tier_fallbacks",
         /// Buffers handed out by the scratch arena.
         ScratchTakes => "scratch_takes",
         /// Buffers returned to the scratch arena.
@@ -458,6 +465,20 @@ pub fn record_fastpath(hit: bool) {
             Counter::CoreFastPathHits
         } else {
             Counter::CoreFastPathFallbacks
+        },
+        1,
+    );
+}
+
+/// Records one fixed-format conversion of a finite value: `hit` is true
+/// when the fixed tier answered it, false when it ran the exact engine.
+#[inline(always)]
+pub fn record_fixed_tier(hit: bool) {
+    imp::add(
+        if hit {
+            Counter::CoreFixedTierHits
+        } else {
+            Counter::CoreFixedTierFallbacks
         },
         1,
     );

@@ -12,7 +12,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use fpp::batch::{BatchFormatter, BatchOutput};
-use fpp::core::FreeFormat;
+use fpp::core::{FixedFormat, FreeFormat};
 use fpp::reader::{read_f64, BatchParseOptions, BatchParser};
 use fpp::{write_fixed, write_shortest, DtoaContext, SliceSink};
 
@@ -83,6 +83,9 @@ fn allocations() -> u64 {
 fn sink_conversions_are_allocation_free_after_warm_up() {
     let mut ctx = DtoaContext::new(10);
     let mut buf = [0u8; 512];
+    // 17 significant digits: the fixed tier; 20 fraction digits
+    // (`write_fixed`): the exact engine.
+    let fixed17 = FixedFormat::new();
 
     // Warm-up: one pass over the corpus grows the power table, the Table 1
     // registers, the scratch pool and the digit buffer to their high-water
@@ -92,6 +95,8 @@ fn sink_conversions_are_allocation_free_after_warm_up() {
         write_shortest(&mut ctx, &mut sink, v);
         let mut sink = SliceSink::new(&mut buf);
         write_fixed(&mut ctx, &mut sink, v, 20);
+        let mut sink = SliceSink::new(&mut buf);
+        fixed17.write_to(&mut ctx, &mut sink, v);
     }
 
     // Measured pass: the same conversions must not touch the allocator.
@@ -103,6 +108,9 @@ fn sink_conversions_are_allocation_free_after_warm_up() {
         emitted += sink.written();
         let mut sink = SliceSink::new(&mut buf);
         write_fixed(&mut ctx, &mut sink, v, 20);
+        emitted += sink.written();
+        let mut sink = SliceSink::new(&mut buf);
+        fixed17.write_to(&mut ctx, &mut sink, v);
         emitted += sink.written();
     }
     let after = allocations();

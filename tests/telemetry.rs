@@ -1,8 +1,9 @@
 //! End-to-end checks of the live instrumentation (`--features telemetry`):
 //! the registry's view of the exact engine must agree with an offline
 //! recount and with the §3.2 scaling contract, the shortest tier must
-//! account for every value of a batch run, and the exposition formats must
-//! stay machine-readable.
+//! account for every value of a batch run, the fixed tier for every finite
+//! fixed-format value, and the exposition formats must stay
+//! machine-readable.
 //!
 //! Everything lives in ONE `#[test]` function: the registry is
 //! process-global and the harness runs test functions concurrently, so
@@ -10,10 +11,12 @@
 //! tests. (`Cargo.toml` gates this target behind the `telemetry` feature.)
 
 use fpp::batch::{BatchFormatter, BatchOptions, BatchOutput};
-use fpp::core::{free_format_digits, DtoaContext, FreeFormat, ScalingStrategy, TieBreak};
+use fpp::core::{
+    free_format_digits, DtoaContext, FixedFormat, FreeFormat, ScalingStrategy, TieBreak,
+};
 use fpp::float::{RoundingMode, SoftFloat};
 use fpp::telemetry::{self, Counter, TelemetrySnapshot, DIGIT_LEN_BUCKETS};
-use fpp::testgen::log_uniform_doubles;
+use fpp::testgen::{log_uniform_doubles, SchryerSet};
 
 /// Offline digit-length recount over distinct values of the workload.
 fn offline_hist(values: &[f64]) -> [u64; DIGIT_LEN_BUCKETS] {
@@ -151,6 +154,47 @@ fn live_counters_agree_with_offline_recount() {
     assert_eq!(snap.get(Counter::CoreConversions), 0, "exact engine idle");
     assert!((snap.fastpath_hit_rate() - 1.0).abs() < 1e-12);
 
+    // Fixed tier: at the paper's 17 significant digits it answers every
+    // value of a Schryer sample, and the exact engine never runs.
+    let schryer: Vec<f64> = SchryerSet::new().iter().step_by(50).collect();
+    let fixed17 = FixedFormat::new();
+    telemetry::reset();
+    for &v in &schryer {
+        text.clear();
+        fixed17.write_to(&mut ctx, &mut text, v);
+    }
+    let snap = TelemetrySnapshot::capture();
+    assert_eq!(snap.get(Counter::CoreFixedTierHits), schryer.len() as u64);
+    assert_eq!(snap.get(Counter::CoreFixedTierFallbacks), 0);
+    assert_eq!(snap.get(Counter::CoreConversions), 0, "exact engine idle");
+
+    // Every finite fixed-format value records one tier hit or one fallback;
+    // specials record neither. Three significant digits and 30 fraction
+    // digits are coarser and finer than most values' own precision.
+    telemetry::reset();
+    let formats = [
+        FixedFormat::new(),
+        FixedFormat::new().significant_digits(3),
+        FixedFormat::new().fraction_digits(30),
+    ];
+    let mixed = [1.0 / 3.0, -2.5, 1e23, 5e-324, 0.0, f64::NAN, f64::INFINITY];
+    for fmt in &formats {
+        for &v in &mixed {
+            text.clear();
+            fmt.write_to(&mut ctx, &mut text, v);
+        }
+    }
+    let snap = TelemetrySnapshot::capture();
+    let finite =
+        (formats.len() * mixed.iter().filter(|v| v.is_finite() && **v != 0.0).count()) as u64;
+    assert_eq!(
+        snap.get(Counter::CoreFixedTierHits) + snap.get(Counter::CoreFixedTierFallbacks),
+        finite,
+        "one record per finite fixed-format conversion"
+    );
+    assert!(snap.get(Counter::CoreFixedTierHits) > 0);
+    assert!(snap.get(Counter::CoreFixedTierFallbacks) > 0);
+
     // Sharded pass: worker threads flush their blocks when the scope joins
     // them, so the aggregate sees every shard's values.
     telemetry::reset();
@@ -233,6 +277,8 @@ fn live_counters_agree_with_offline_recount() {
         "\"core_conversions\"",
         "\"core_fastpath_hits\"",
         "\"core_fastpath_fallbacks\"",
+        "\"core_fixed_tier_hits\"",
+        "\"core_fixed_tier_fallbacks\"",
         "\"scratch_pool_hwm\"",
         "\"core_digit_len\"",
         "\"batch_shard_len_log2\"",
