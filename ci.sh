@@ -34,10 +34,12 @@ cargo test --release -q --test sink_parity
 
 echo "== shortest tier: parity tests (release) =="
 # Byte-for-byte parity of the shortest tier against the exact engine: the
-# sampled/stratified/exhaustive-16-bit suites, plus the 10M-sample sweep
-# (ignored by default — it needs release-mode speed).
+# sampled/stratified/exhaustive-16-bit suites and the notation × style
+# layout matrix, plus the 10M-sample sweep and the 1M-value matrix sweep
+# (ignored by default — they need release-mode speed).
 cargo test --release -q --test fastpath_parity
 cargo test --release -q --test fastpath_parity -- --ignored ten_million
+cargo test --release -q --test fastpath_parity -- --ignored layout_matrix_one_million
 
 echo "== fixed tier: parity tests (release) =="
 # Byte-for-byte parity of FixedFormat's fixed tier against the exact

@@ -101,6 +101,11 @@ impl BatchFormatter {
     /// Formats a column of `f64`s into `out` (cleared first) on the calling
     /// thread. Steady-state allocation-free once the formatter and `out`
     /// have seen a batch of this size.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out`'s arena grows past the 4 GiB `u32` offset range
+    /// (see [`BatchOutput`]); split such a column into several batches.
     pub fn format_f64s(&mut self, values: &[f64], out: &mut BatchOutput) {
         fpp_telemetry::record_serial_batch();
         format_slice(&self.format, &mut self.ctx, values, out);
@@ -109,6 +114,11 @@ impl BatchFormatter {
     /// Formats a column of `f32`s into `out` (cleared first), using `f32`
     /// boundaries: `0.1f32` prints as `0.1`, not the 17-digit expansion of
     /// its exact value.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out`'s arena grows past the 4 GiB `u32` offset range
+    /// (see [`BatchOutput`]); split such a column into several batches.
     pub fn format_f32s(&mut self, values: &[f32], out: &mut BatchOutput) {
         fpp_telemetry::record_serial_batch();
         format_slice(&self.format, &mut self.ctx, values, out);
@@ -181,6 +191,11 @@ impl BatchFormatter {
     /// regardless of thread count, including on a single-core host.
     /// Inputs shorter than twice [`BatchOptions::min_shard_len`] take
     /// the serial path unchanged.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out`'s arena grows past the 4 GiB `u32` offset range
+    /// (see [`BatchOutput`]); split such a column into several batches.
     pub fn format_f64s_sharded(&mut self, values: &[f64], out: &mut BatchOutput) {
         self.format_sharded(values, out, |w, format, chunk| {
             format_slice(format, &mut w.ctx, chunk, &mut w.out);
@@ -189,6 +204,11 @@ impl BatchFormatter {
 
     /// Formats a column of `f32`s into `out` across shard threads (see
     /// [`Self::format_f64s_sharded`] for the splitting/stitching rules).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out`'s arena grows past the 4 GiB `u32` offset range
+    /// (see [`BatchOutput`]); split such a column into several batches.
     pub fn format_f32s_sharded(&mut self, values: &[f32], out: &mut BatchOutput) {
         self.format_sharded(values, out, |w, format, chunk| {
             format_slice(format, &mut w.ctx, chunk, &mut w.out);

@@ -135,9 +135,7 @@ impl BatchOutput {
     ///
     /// Panics if the arena has grown past the 4 GiB `u32` offset range.
     pub(crate) fn seal(&mut self) {
-        let end = u32::try_from(self.bytes.len())
-            .expect("fpp_batch: arena exceeds the 4 GiB u32 offset range; split the batch");
-        self.offsets.push(end);
+        self.offsets.push(offset(self.bytes.len()));
     }
 
     /// Appends another output's entries after this one's, shifting its
@@ -147,12 +145,21 @@ impl BatchOutput {
             !self.offsets.is_empty(),
             "append_shifted requires begin() first"
         );
-        let base = u32::try_from(self.bytes.len())
-            .expect("fpp_batch: arena exceeds the 4 GiB u32 offset range; split the batch");
+        let base = offset(self.bytes.len());
         self.bytes.extend_from_slice(&shard.bytes);
         self.offsets
             .extend(shard.offsets.iter().skip(1).map(|&off| base + off));
     }
+}
+
+/// An arena length as a `u32` offset.
+///
+/// # Panics
+///
+/// Panics if `len` is past the 4 GiB `u32` offset range.
+fn offset(len: usize) -> u32 {
+    u32::try_from(len)
+        .expect("fpp_batch: arena exceeds the 4 GiB u32 offset range; split the batch")
 }
 
 #[cfg(test)]
@@ -219,5 +226,12 @@ mod tests {
     fn out_of_range_get_panics() {
         let out = filled(&["1"]);
         let _ = out.get(1);
+    }
+
+    #[test]
+    #[should_panic(expected = "arena exceeds the 4 GiB u32 offset range")]
+    fn offsets_past_u32_panic() {
+        assert_eq!(offset(u32::MAX as usize), u32::MAX);
+        let _ = offset(u32::MAX as usize + 1);
     }
 }

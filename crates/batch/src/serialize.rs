@@ -35,7 +35,10 @@ impl BatchFormatter {
     ///
     /// # Panics
     ///
-    /// Panics if the columns have unequal lengths.
+    /// Panics if the columns have unequal lengths, and wherever `sink`
+    /// panics (a [`fpp_core::SliceSink`] too small for the text). No
+    /// [`BatchOutput`](crate::BatchOutput) arena is built, so its 4 GiB
+    /// offset range does not apply.
     pub fn write_csv(&mut self, columns: &[(&str, &[f64])], sink: &mut impl DigitSink) {
         let Some(rows) = columns.first().map(|(_, col)| col.len()) else {
             return;
@@ -73,6 +76,12 @@ impl BatchFormatter {
     /// fmt.write_json_lines(&[0.1, f64::NAN, 1e23], &mut out);
     /// assert_eq!(out, b"0.1\nnull\n1e23\n");
     /// ```
+    ///
+    /// # Panics
+    ///
+    /// Panics only where `sink` panics (a [`fpp_core::SliceSink`] too small
+    /// for the text). No [`BatchOutput`](crate::BatchOutput) arena is
+    /// built, so its 4 GiB offset range does not apply.
     pub fn write_json_lines(&mut self, values: &[f64], sink: &mut impl DigitSink) {
         for &v in values {
             if v.is_finite() {

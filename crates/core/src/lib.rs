@@ -420,10 +420,7 @@ impl FreeFormat {
         let narrow = shortest::narrow::<F>(mantissa, exponent);
         let (f, e) = shortest::shortest(mantissa, exponent, narrow, inc, self.tie);
         fpp_telemetry::record_fastpath(true);
-        if negative {
-            sink.push(b'-');
-        }
-        notation::render_decimal_into(sink, f, e, self.notation, &self.style);
+        notation::render_decimal_into(sink, negative, f, e, self.notation, &self.style);
         true
     }
 

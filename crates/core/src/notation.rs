@@ -6,12 +6,29 @@
 //! mirroring the behaviour of Scheme's `number->string` and the paper's
 //! examples (`0.3`, `1e23`).
 //!
-//! The engine is sink-based: [`render_into`] and [`render_fixed_into`] write
-//! bytes straight into any [`DigitSink`] without intermediate strings, so a
-//! conversion into a stack buffer allocates nothing. One layout engine
-//! serves every caller and emits runs through [`DigitSink::push_slice`]:
-//! digit values are mapped to characters a chunk at a time, and the
-//! shortest tier hands it ASCII written straight from a `u64` significand.
+//! Rendering is sink-based: text goes straight into any [`DigitSink`]
+//! without intermediate strings, so a conversion into a stack buffer
+//! allocates nothing. Two layouts produce it, sharing one exponent writer
+//! and one 8-digit block writer for decimal integers:
+//!
+//! * **The direct layout** takes the shortest tier's base-10 output under
+//!   every [`Notation`] and [`ExponentStyle`], when there is no group
+//!   separator and the decimal separator is ASCII. It writes the whole
+//!   text (sign, digits as 8-digit blocks at their final offsets, point,
+//!   zero runs, exponent) into one stack buffer and hands it over in a
+//!   single [`DigitSink::push_slice`]. This is the hot path
+//!   (`print_shortest`, the batch formatter): one push per value instead
+//!   of four to six, and blocks instead of a serial digit-pair loop.
+//! * **The generic engine** ([`render_into`], [`render_fixed_into`]) takes
+//!   the rest: digit values in any base (the exact engine's output), the
+//!   §4 fixed layout with its `#` marks, grouping, non-ASCII separators,
+//!   and positional texts longer than the direct buffer, which the default
+//!   window never produces. Grouping and multi-byte separators change the
+//!   length of every run, so they stay in one place rather than in both.
+//!   It pushes runs, mapping digit values to characters a chunk at a time.
+//!
+//! Both give the same bytes for the same digits; the root test
+//! `fastpath_parity` crosses every notation with every style to pin it.
 //! The `String`-returning [`render`] and [`render_in_base`] are thin
 //! wrappers collecting into a `Vec<u8>`.
 
@@ -180,50 +197,159 @@ pub fn render_into(
     layout_into(sink, &Values(digits), k, 0, true, notation, base, opts);
 }
 
-/// Renders the decimal `f × 10^e` (`f > 0`, no trailing zeros): the
-/// shortest tier's output, written as ASCII straight from the significand
-/// two digits at a time.
+/// Renders `±f × 10^e` (`f > 0`, no trailing zeros): the shortest tier's
+/// output, sign included. Without grouping and with an ASCII decimal
+/// separator the whole text is laid out in one stack buffer and pushed
+/// once; otherwise, or when a positional text would not fit, the digits
+/// go through the generic engine.
 pub(crate) fn render_decimal_into(
     sink: &mut impl DigitSink,
+    negative: bool,
     f: u64,
     e: i32,
     notation: Notation,
     opts: &RenderOptions,
 ) {
-    let mut buf = [0u8; 20];
-    let start = write_u64(&mut buf, f);
-    let ascii = &buf[start..];
-    let k = e + ascii.len() as i32;
-    layout_into(sink, &Ascii(ascii), k, 0, true, notation, 10, opts);
+    if opts.group_separator.is_none() && opts.decimal_separator.is_ascii() {
+        let mut buf = [b'0'; DIRECT_LEN];
+        if let Some(text) = direct_layout(&mut buf, negative, f, e, notation, opts) {
+            sink.push_slice(text);
+            return;
+        }
+    }
+    let mut buf = [b'0'; 32];
+    write_blocks(&mut buf, 32, f);
+    let digits = &buf[32 - digit_count(f)..];
+    if negative {
+        sink.push(b'-');
+    }
+    let k = e + digits.len() as i32;
+    layout_into(sink, &Ascii(digits), k, 0, true, notation, 10, opts);
 }
 
-/// `"00" "01" … "99"`: two ASCII digits per table entry.
-const DIGIT_PAIRS: &[u8; 200] = b"\
-0001020304050607080910111213141516171819\
-2021222324252627282930313233343536373839\
-4041424344454647484950515253545556575859\
-6061626364656667686970717273747576777879\
-8081828384858687888990919293949596979899";
+/// The direct layout's buffer: every scientific text of a `u64`
+/// significand with an `i32` exponent, and every positional one within
+/// the default window, fits with room to spare.
+const DIRECT_LEN: usize = 64;
 
-/// Writes the decimal digits of `n` right-aligned into `buf`, returning
-/// the index of the first digit.
-fn write_u64(buf: &mut [u8; 20], mut n: u64) -> usize {
-    let mut i = buf.len();
-    while n >= 100 {
-        let pair = (n % 100) as usize * 2;
-        n /= 100;
-        i -= 2;
-        buf[i..i + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
-    }
-    if n >= 10 {
-        let pair = n as usize * 2;
-        i -= 2;
-        buf[i..i + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+/// Where the direct layout's text starts: the lead digit block may write
+/// up to seven leading zeros below its first digit.
+const TEXT_START: usize = 8;
+
+/// Lays out `±f × 10^e` in `buf` (filled with `'0'`), or returns `None`
+/// when a positional text would not fit. Digit runs are written first and
+/// the bytes their lead blocks overwrite (sign, point, exponent marker)
+/// after, so every position the text does not set reads `'0'`: the zero
+/// runs of `0.000ddd` and `ddd000` cost nothing.
+fn direct_layout<'a>(
+    buf: &'a mut [u8; DIRECT_LEN],
+    negative: bool,
+    f: u64,
+    e: i32,
+    notation: Notation,
+    opts: &RenderOptions,
+) -> Option<&'a [u8]> {
+    let n = digit_count(f);
+    let k = e + n as i32;
+    let sep = opts.decimal_separator as u8;
+    // The first byte after the sign.
+    let p = TEXT_START + usize::from(negative);
+    let end = if !notation.is_positional(k) {
+        // d.ddd, or d alone, then the exponent field.
+        let mark = if n > 1 { p + 1 + n } else { p + 1 };
+        let end = exponent_into(buf, mark, exponent_marker(10), k - 1, opts.exponent_style);
+        if n > 1 {
+            write_blocks(buf, p + 1 + n, f);
+            buf[p] = buf[p + 1];
+            buf[p + 1] = sep;
+        } else {
+            write_blocks(buf, p + 1, f);
+        }
+        end
+    } else if k <= 0 {
+        // 0.000ddd
+        let end = p + 2 + k.unsigned_abs() as usize + n;
+        if end > DIRECT_LEN {
+            return None;
+        }
+        write_blocks(buf, end, f);
+        buf[p + 1] = sep;
+        end
+    } else if (k as usize) < n {
+        // ddd.ddd: the fraction moves one place right to make room for the
+        // point, as one fixed-size copy (it has at most 19 digits).
+        let k = k as usize;
+        write_blocks(buf, p + n, f);
+        let fraction: [u8; 20] = buf[p + k..p + k + 20].try_into().expect("20 bytes");
+        buf[p + k + 1..p + k + 21].copy_from_slice(&fraction);
+        buf[p + k] = sep;
+        p + n + 1
     } else {
-        i -= 1;
-        buf[i] = b'0' + n as u8;
+        // ddd000
+        let end = p + k as usize;
+        if end > DIRECT_LEN {
+            return None;
+        }
+        write_blocks(buf, p + n, f);
+        end
+    };
+    if negative {
+        buf[TEXT_START] = b'-';
     }
-    i
+    Some(&buf[TEXT_START..end])
+}
+
+/// `10^0 … 10^19`: every power of ten a `u64` holds.
+const POW10: [u64; 20] = {
+    let mut pow = [1u64; 20];
+    let mut i = 1;
+    while i < 20 {
+        pow[i] = pow[i - 1] * 10;
+        i += 1;
+    }
+    pow
+};
+
+/// The number of decimal digits of `v` (one for zero): `⌊log10⌋` estimated
+/// from the bit length (`1233/4096 ≈ log10 2`, never above the true value),
+/// then corrected by one comparison.
+fn digit_count(v: u64) -> usize {
+    let v = v | 1;
+    let t = (((64 - v.leading_zeros()) * 1233) >> 12) as usize;
+    t + usize::from(v >= POW10[t])
+}
+
+/// The eight decimal digits of `x < 10^8`, leading zeros included, as
+/// ASCII. The two four-digit halves sit in 32-bit lanes of one `u64`, are
+/// split into pairs in 16-bit lanes, then into digits in bytes; each split
+/// is one multiply-shift for every lane at once, so no step waits on
+/// another lane. The constants are exact on the lanes' ranges:
+/// `⌊n·10486/2^20⌋ = ⌊n/100⌋` for `n < 10^4` and `⌊n·103/2^10⌋ = ⌊n/10⌋`
+/// for `n < 100`, and no lane's product reaches the next lane.
+fn block8(x: u32) -> [u8; 8] {
+    debug_assert!(x < 100_000_000);
+    let x = u64::from(x);
+    let halves = (x / 10_000) | ((x % 10_000) << 32);
+    let hundreds = ((halves * 10_486) >> 20) & ((0x7F << 32) | 0x7F);
+    let pairs = ((halves - 100 * hundreds) << 16) | hundreds;
+    let tens = ((pairs * 103) >> 10) & 0x000F_000F_000F_000F;
+    let digits = tens | ((pairs - 10 * tens) << 8);
+    // Little-endian: the lowest byte holds the most significant digit.
+    (digits | 0x3030_3030_3030_3030).to_le_bytes()
+}
+
+/// Writes the decimal digits of `v` so that they end just before
+/// `buf[end]`, in 8-digit blocks split off by `10^8`. The lead block is
+/// written whole, so up to seven bytes below the first digit become `'0'`:
+/// callers leave that room and write what belongs there afterwards.
+#[inline(always)]
+fn write_blocks(buf: &mut [u8], mut end: usize, mut v: u64) {
+    while v >= 100_000_000 {
+        buf[end - 8..end].copy_from_slice(&block8((v % 100_000_000) as u32));
+        v /= 100_000_000;
+        end -= 8;
+    }
+    buf[end - 8..end].copy_from_slice(&block8(v as u32));
 }
 
 /// Renders fixed-format digits into a sink. The digit string always
@@ -347,26 +473,30 @@ fn push_char(sink: &mut impl DigitSink, c: char) {
 
 /// Pushes the exponent field (`e5`, `E-5`, `e+05`, …) for value `exp`.
 fn push_exponent(sink: &mut impl DigitSink, marker: char, exp: i32, style: ExponentStyle) {
-    let mut buf = [0u8; 20];
-    let mut i = write_u64(&mut buf, u64::from(exp.unsigned_abs()));
-    if style == ExponentStyle::PrintfSigned && buf.len() - i < 2 {
-        i -= 1;
-        buf[i] = b'0';
-    }
-    if exp < 0 {
-        i -= 1;
-        buf[i] = b'-';
-    } else if style == ExponentStyle::PrintfSigned {
-        i -= 1;
-        buf[i] = b'+';
-    }
-    i -= 1;
-    buf[i] = if style == ExponentStyle::Uppercase {
+    let mut buf = [0u8; 24];
+    let end = exponent_into(&mut buf, TEXT_START, marker, exp, style);
+    sink.push_slice(&buf[TEXT_START..end]);
+}
+
+/// Writes the exponent field for value `exp` from `buf[at]` on, returning
+/// its end. Its digits are a [`write_blocks`] run, so up to seven bytes
+/// below them become `'0'` before the marker and sign are written; a
+/// `PrintfSigned` pad digit is one of those zeros.
+fn exponent_into(buf: &mut [u8], at: usize, marker: char, exp: i32, style: ExponentStyle) -> usize {
+    let printf = style == ExponentStyle::PrintfSigned;
+    let signed = exp < 0 || printf;
+    let mag = u64::from(exp.unsigned_abs());
+    let end = at + 1 + usize::from(signed) + digit_count(mag).max(1 + usize::from(printf));
+    write_blocks(buf, end, mag);
+    buf[at] = if style == ExponentStyle::Uppercase {
         marker.to_ascii_uppercase() as u8
     } else {
         marker as u8
     };
-    sink.push_slice(&buf[i..]);
+    if signed {
+        buf[at + 1] = if exp < 0 { b'-' } else { b'+' };
+    }
+    end
 }
 
 /// Lays out `0.d₁d₂… × Bᵏ` followed by `hashes` insignificant positions,
@@ -604,15 +734,27 @@ mod tests {
     }
 
     #[test]
-    fn two_digit_writer_matches_std() {
-        let mut buf = [0u8; 20];
-        for n in [0, 7, 9, 10, 99, 100, 101, 12_345, 10u64.pow(17), u64::MAX] {
-            let start = write_u64(&mut buf, n);
-            assert_eq!(&buf[start..], n.to_string().as_bytes());
+    fn block_writer_matches_std() {
+        // i·10001 puts every four-digit value in both halves of a block.
+        for x in (0..10_000).map(|i| i * 10_001) {
+            assert_eq!(block8(x), *format!("{x:08}").as_bytes(), "{x}");
+        }
+        let mut inputs = vec![0, 7, 12_345, u64::MAX];
+        for i in 0..=19 {
+            let p = 10u64.pow(i);
+            inputs.extend([p - 1, p, p + 1]);
+        }
+        for n in inputs {
+            let mut buf = [b'#'; 32];
+            write_blocks(&mut buf, 32, n);
+            let text = n.to_string();
+            assert_eq!(digit_count(n), text.len(), "{n}");
+            assert_eq!(&buf[32 - text.len()..], text.as_bytes(), "{n}");
         }
         let mut out = Vec::new();
         render_decimal_into(
             &mut out,
+            false,
             15,
             -1,
             Notation::default(),

@@ -127,21 +127,12 @@ pub(crate) fn decide(c: u64, q: i32, narrow: bool, inc: Inclusivity, tie: TieBre
     let vb = rop(g, cb << h);
     let vbl = rop(g, cbl << h);
     let vbr = rop(g, cbr << h);
-    let low_in = |n: u64| {
-        if inc.low_ok {
-            vbl <= n << 2
-        } else {
-            vbl < n << 2
-        }
-    };
-    let high_in = |n: u64| {
-        if inc.high_ok {
-            n << 2 <= vbr
-        } else {
-            n << 2 < vbr
-        }
-    };
+    // An inclusive end admits equality: `x ≤ y` is `x < y + 1`.
+    let low_in = |n: u64| vbl < (n << 2) + u64::from(inc.low_ok);
+    let high_in = |n: u64| n << 2 < vbr + u64::from(inc.high_ok);
 
+    // Both candidates are computed and one is selected with no
+    // data-dependent branch: the tests below are flags, not conditions.
     let s = vb >> 2;
     // One position coarser: the multiples of ten around v. There is no
     // lower bound on s here: like the exact engine, a candidate at a
@@ -150,23 +141,18 @@ pub(crate) fn decide(c: u64, q: i32, narrow: bool, inc: Inclusivity, tie: TieBre
     let sp10 = s / 10 * 10;
     let tp10 = sp10 + 10;
     let (upin, wpin) = (low_in(sp10), high_in(tp10));
-    if upin != wpin {
-        let s = if upin { sp10 } else { tp10 };
-        return Decision { s, k, vbr };
-    }
-    let t = s + 1;
-    let (uin, win) = (low_in(s), high_in(t));
-    let up = if uin != win {
-        win
-    } else {
-        // Both admitted: compare 4v·10^-k with the midpoint 4s + 2.
-        match vb.cmp(&((s << 2) + 2)) {
-            std::cmp::Ordering::Less => false,
-            std::cmp::Ordering::Greater => true,
-            std::cmp::Ordering::Equal => tie.rounds_up((s % 10) as u8),
-        }
-    };
-    let s = if up { t } else { s };
+    let coarse = if upin { sp10 } else { tp10 };
+    // At the scale itself: s or s + 1, whichever the interval admits, and
+    // when it admits both (or neither), the closer to 4v·10^-k, with a tie
+    // at the midpoint 4s + 2 settled on the last digit s − sp10.
+    let (uin, win) = (low_in(s), high_in(s + 1));
+    let mid = (s << 2) + 2;
+    let closer_up = (vb > mid) | ((vb == mid) & tie.rounds_up((s - sp10) as u8));
+    let up = (win & !uin) | ((uin == win) & closer_up);
+    let fine = s + u64::from(up);
+    // Which candidate wins varies from value to value, so a branch here
+    // would mispredict often.
+    let s = std::hint::select_unpredictable(upin != wpin, coarse, fine);
     Decision { s, k, vbr }
 }
 

@@ -12,7 +12,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use fpp::batch::{BatchFormatter, BatchOutput};
-use fpp::core::{FixedFormat, FreeFormat};
+use fpp::core::{ExponentStyle, FixedFormat, FreeFormat, Notation, RenderOptions};
 use fpp::reader::{read_f64, BatchParseOptions, BatchParser};
 use fpp::{write_fixed, write_shortest, DtoaContext, SliceSink};
 
@@ -124,32 +124,53 @@ fn sink_conversions_are_allocation_free_after_warm_up() {
 
     // Both routes through `FreeFormat` hold the same bar: the shortest tier
     // (stack-only by construction) and the exact engine (forced via
-    // `.fast_path(false)`), byte-identical to each other.
-    let fast = FreeFormat::new();
-    let exact = FreeFormat::new().fast_path(false);
+    // `.fast_path(false)`), byte-identical to each other. The tier runs
+    // under three styles: the default and `PrintfSigned` with a `,`
+    // separator take its one-buffer layout; positional grouping with a
+    // non-ASCII separator takes the generic layout engine.
+    let printf_comma = RenderOptions {
+        exponent_style: ExponentStyle::PrintfSigned,
+        decimal_separator: ',',
+        group_separator: None,
+    };
+    let grouped = RenderOptions {
+        exponent_style: ExponentStyle::Minimal,
+        decimal_separator: '\u{b7}',
+        group_separator: Some('_'),
+    };
+    let formats = [
+        FreeFormat::new(),
+        FreeFormat::new().style(printf_comma),
+        FreeFormat::new()
+            .notation(Notation::Positional)
+            .style(grouped),
+    ];
     let mut fast_buf = [0u8; 512];
-    for &v in CORPUS {
-        let mut sink = SliceSink::new(&mut buf);
-        fast.write_to(&mut ctx, &mut sink, v);
-        let mut sink = SliceSink::new(&mut buf);
-        exact.write_to(&mut ctx, &mut sink, v);
+    for fast in formats {
+        let exact = fast.clone().fast_path(false);
+        for &v in CORPUS {
+            let mut sink = SliceSink::new(&mut buf);
+            fast.write_to(&mut ctx, &mut sink, v);
+            let mut sink = SliceSink::new(&mut buf);
+            exact.write_to(&mut ctx, &mut sink, v);
+        }
+        let before = allocations();
+        for &v in CORPUS {
+            let mut fsink = SliceSink::new(&mut fast_buf);
+            fast.write_to(&mut ctx, &mut fsink, v);
+            let flen = fsink.written();
+            let mut esink = SliceSink::new(&mut buf);
+            exact.write_to(&mut ctx, &mut esink, v);
+            let elen = esink.written();
+            assert_eq!(&fast_buf[..flen], &buf[..elen]);
+        }
+        let after = allocations();
+        assert_eq!(
+            after - before,
+            0,
+            "warmed shortest-tier and exact-engine conversions must not allocate ({fast:?})"
+        );
     }
-    let before = allocations();
-    for &v in CORPUS {
-        let mut fsink = SliceSink::new(&mut fast_buf);
-        fast.write_to(&mut ctx, &mut fsink, v);
-        let flen = fsink.written();
-        let mut esink = SliceSink::new(&mut buf);
-        exact.write_to(&mut ctx, &mut esink, v);
-        let elen = esink.written();
-        assert_eq!(&fast_buf[..flen], &buf[..elen]);
-    }
-    let after = allocations();
-    assert_eq!(
-        after - before,
-        0,
-        "warmed shortest-tier and exact-engine conversions must not allocate"
-    );
 
     // The batch engine inherits the guarantee: once a formatter and its
     // output have seen one batch of this shape, re-running the batch — the

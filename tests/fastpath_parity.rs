@@ -9,23 +9,28 @@
 //! inputs are sampled, stratified over the tier's hazards (ties, exact
 //! endpoint hits, subnormals, binade edges), exhaustive over the 16-bit
 //! formats, and — behind `--ignored` — ten million `f64`s and every
-//! positive `f32`.
+//! positive `f32`. A layout matrix crosses every notation with every
+//! rendering style, so the tier's one-buffer layout and its generic
+//! fallback are both compared with the generic layout of the exact
+//! engine's digits.
 //!
 //! ```bash
 //! cargo test --release --test fastpath_parity
 //! cargo test --release --test fastpath_parity -- --ignored ten_million
+//! cargo test --release --test fastpath_parity -- --ignored layout_matrix_one_million
 //! cargo test --release --test fastpath_parity -- --ignored exhaustive
 //! ```
 
-use fpp::core::{FreeFormat, TieBreak};
+use fpp::core::{ExponentStyle, FreeFormat, Notation, RenderOptions, TieBreak};
 use fpp::float::{Bf16, FloatFormat, RoundingMode, F16};
 use fpp::testgen::prng::Xoshiro256pp;
 use fpp::testgen::{log_uniform_doubles, uniform_bit_doubles, SchryerSet};
 use fpp::{DtoaContext, SliceSink};
 use std::fmt::Debug;
 
-/// Comfortably larger than any shortest-form rendering.
-const BUF: usize = 64;
+/// Comfortably larger than any shortest-form rendering, positional `f64`
+/// extremes with grouping included.
+const BUF: usize = 512;
 
 /// The four rounding modes the tier serves.
 const NEAREST_MODES: [RoundingMode; 4] = [
@@ -36,6 +41,53 @@ const NEAREST_MODES: [RoundingMode; 4] = [
 ];
 
 const TIE_BREAKS: [TieBreak; 3] = [TieBreak::Up, TieBreak::Down, TieBreak::Even];
+
+/// The notations of the layout matrix: both fixed choices, the default
+/// window and a window wide enough to print every `f64` positionally.
+const NOTATIONS: [Notation; 4] = [
+    Notation::Positional,
+    Notation::Scientific,
+    Notation::Auto { low: -6, high: 21 },
+    Notation::Auto {
+        low: -400,
+        high: 400,
+    },
+];
+
+/// The styles of the layout matrix: the default, each exponent style, an
+/// ASCII and a non-ASCII decimal separator, and grouping.
+const STYLES: [RenderOptions; 6] = [
+    RenderOptions {
+        exponent_style: ExponentStyle::Minimal,
+        decimal_separator: '.',
+        group_separator: None,
+    },
+    RenderOptions {
+        exponent_style: ExponentStyle::Uppercase,
+        decimal_separator: '.',
+        group_separator: None,
+    },
+    RenderOptions {
+        exponent_style: ExponentStyle::PrintfSigned,
+        decimal_separator: '.',
+        group_separator: None,
+    },
+    RenderOptions {
+        exponent_style: ExponentStyle::Minimal,
+        decimal_separator: ',',
+        group_separator: None,
+    },
+    RenderOptions {
+        exponent_style: ExponentStyle::Minimal,
+        decimal_separator: '.',
+        group_separator: Some('_'),
+    },
+    RenderOptions {
+        exponent_style: ExponentStyle::Minimal,
+        decimal_separator: '\u{66b}', // Arabic decimal separator
+        group_separator: None,
+    },
+];
 
 /// The tier and the exact engine under one configuration.
 struct Pair {
@@ -52,6 +104,13 @@ impl Pair {
 
     fn default_recipe() -> Self {
         Pair::new(RoundingMode::NearestEven, TieBreak::Up)
+    }
+
+    /// The default recipe under one cell of the layout matrix.
+    fn styled(notation: Notation, style: RenderOptions) -> Self {
+        let fast = FreeFormat::new().notation(notation).style(style);
+        let exact = fast.clone().fast_path(false);
+        Pair { fast, exact }
     }
 
     /// Asserts that the tier answers `v` and that its bytes equal the
@@ -220,6 +279,50 @@ fn exhaustive_half_formats_all_modes_and_ties() {
             }
         }
     }
+}
+
+/// Every notation × style cell over the stratified `f64` column and every
+/// positive finite `F16`: signs, both separators, every exponent style,
+/// zero runs on either side of the digits, and positional texts too long
+/// for the tier's layout buffer.
+#[test]
+fn layout_matrix_parity() {
+    let mut ctx = DtoaContext::new(10);
+    let values = stratified_f64s();
+    for notation in NOTATIONS {
+        for style in STYLES {
+            let pair = Pair::styled(notation, style);
+            for &v in &values {
+                pair.check(&mut ctx, v);
+            }
+            for bits in 1..0x7C00u16 {
+                pair.check(&mut ctx, F16::from_bits(bits));
+            }
+        }
+    }
+}
+
+/// One million `f64`s (log-uniform and uniform-bit, half negative), each
+/// under the next cell of the layout matrix in turn. Run explicitly with
+/// `-- --ignored layout_matrix_one_million`.
+#[test]
+#[ignore = "long-running; exercised by ci.sh in release mode"]
+fn layout_matrix_one_million() {
+    let mut ctx = DtoaContext::new(10);
+    let cells: Vec<Pair> = NOTATIONS
+        .iter()
+        .flat_map(|&n| STYLES.iter().map(move |&s| Pair::styled(n, s)))
+        .collect();
+    let values = log_uniform_doubles(0x1A_7001)
+        .take(800_000)
+        .chain(uniform_bit_doubles(0x1A_7002).take(200_000));
+    let mut checked = 0usize;
+    for (i, v) in values.enumerate() {
+        let v = if i % 2 == 0 { v } else { -v };
+        cells[i % cells.len()].check(&mut ctx, v);
+        checked += 1;
+    }
+    assert_eq!(checked, 1_000_000);
 }
 
 /// Exact ties are real for `f64`: `2^50 + j/4` with `j` odd sits exactly

@@ -225,3 +225,16 @@ fn far_positions_cost_one_power() {
 fn absolute_position_is_bounded() {
     let _ = FixedFormat::new().absolute_position(i32::MIN);
 }
+
+#[test]
+#[should_panic(expected = "significant digit count must be >= 1")]
+fn zero_significant_digits_panics() {
+    let _ = FixedFormat::new().significant_digits(0);
+}
+
+#[test]
+#[should_panic(expected = "fraction digit count above 2^24")]
+fn fraction_digits_are_bounded() {
+    let _ = FixedFormat::new().fraction_digits(1 << 24);
+    let _ = FixedFormat::new().fraction_digits((1 << 24) + 1);
+}
