@@ -36,7 +36,15 @@ impl DigitSink for Vec<u8> {
         Vec::push(self, byte);
     }
 
+    /// Grows to a power of two, so the capacity follows the total length
+    /// written and not how it was split into runs: with plain doubling, a
+    /// whole text pushed at once would seed every later capacity with its
+    /// own length, and a reused buffer's size would vary with its input.
     fn push_slice(&mut self, bytes: &[u8]) {
+        let need = self.len() + bytes.len();
+        if need > self.capacity() {
+            self.reserve_exact(need.next_power_of_two() - self.len());
+        }
         self.extend_from_slice(bytes);
     }
 }
@@ -244,6 +252,23 @@ mod tests {
         v.push(b'4');
         DigitSink::push_slice(&mut v, b"2.5");
         assert_eq!(v, b"42.5");
+    }
+
+    #[test]
+    fn vec_sink_capacity_does_not_depend_on_run_lengths() {
+        // The same 60 bytes, first as one 20-byte run then 40, then in
+        // 3-byte runs: both end at the same power-of-two capacity.
+        let text = [b'7'; 60];
+        let mut whole: Vec<u8> = Vec::new();
+        DigitSink::push_slice(&mut whole, &text[..20]);
+        DigitSink::push_slice(&mut whole, &text[20..]);
+        let mut runs: Vec<u8> = Vec::new();
+        for run in text.chunks(3) {
+            DigitSink::push_slice(&mut runs, run);
+        }
+        assert_eq!(whole, runs);
+        assert_eq!(whole.capacity(), 64);
+        assert_eq!(runs.capacity(), 64);
     }
 
     #[test]
