@@ -35,11 +35,13 @@ cargo test --release -q --test sink_parity
 echo "== shortest tier: parity tests (release) =="
 # Byte-for-byte parity of the shortest tier against the exact engine: the
 # sampled/stratified/exhaustive-16-bit suites and the notation × style
-# layout matrix, plus the 10M-sample sweep and the 1M-value matrix sweep
-# (ignored by default — they need release-mode speed).
+# layout matrix, plus the 10M-sample sweep, the 1M-value matrix sweep and
+# every 29th positive f32 (ignored by default — they need release-mode
+# speed).
 cargo test --release -q --test fastpath_parity
 cargo test --release -q --test fastpath_parity -- --ignored ten_million
 cargo test --release -q --test fastpath_parity -- --ignored layout_matrix_one_million
+cargo test --release -q --test fastpath_parity -- --ignored strided_f32
 
 echo "== fixed tier: parity tests (release) =="
 # Byte-for-byte parity of FixedFormat's fixed tier against the exact

@@ -8,9 +8,9 @@
 //! * the reader's Eisel–Lemire tier multiplies a decimal coefficient by the
 //!   128-bit entry for `10^q` (Lemire, *Number Parsing at a Gigabyte per
 //!   Second*);
-//! * the printer's shortest tier derives its 126-bit `⌊10^-k·2^-r⌋ + 1`
-//!   from the entry for `10^-k` (Giulietti, *The Schubfach way to render
-//!   doubles*).
+//! * the printer's shortest tier multiplies by the entry for `10^(2−k)`,
+//!   rounded up, and reads the interval's width off its high word (Jeon,
+//!   *Dragonbox*).
 //!
 //! The table is not a baked-in literal blob: it is generated at first use
 //! from exact [`Nat`] exponentiation and checked against exact interval
@@ -26,9 +26,10 @@ use std::sync::LazyLock;
 /// needs nothing smaller.
 pub const MIN_Q: i32 = -342;
 
-/// Largest `q` in the table: the printer scales the smallest subnormal
-/// `f64` (`≈ 4.9·10^-324`) by `10^324`.
-pub const MAX_Q: i32 = 324;
+/// Largest `q` in the table: the printer works two decimal places below
+/// the answer's scale, so it scales the smallest subnormal `f64`
+/// (`≈ 4.9·10^-324`) by `10^326`.
+pub const MAX_Q: i32 = 326;
 
 /// One 128-bit power-of-five significand, normalized to `[2^127, 2^128)`:
 /// `5^q ≈ (hi·2^64 + lo) × 2^(⌊q·log2 5⌋ − 127)`.
@@ -53,7 +54,7 @@ impl Pow5 {
     }
 }
 
-/// The table for `q ∈ MIN_Q..=MAX_Q` (667 entries, ~10 KiB), built on
+/// The table for `q ∈ MIN_Q..=MAX_Q` (669 entries, ~10 KiB), built on
 /// first use.
 static POWERS_OF_FIVE: LazyLock<Vec<Pow5>> =
     LazyLock::new(|| (MIN_Q..=MAX_Q).map(significand).collect());

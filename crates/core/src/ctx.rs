@@ -17,7 +17,9 @@ use fpp_float::SoftFloat;
 ///
 /// Create one per base (or use the thread-local cache via the `String`
 /// conveniences) and pass it to [`crate::write_shortest`] /
-/// [`crate::write_fixed`] or the builders' `write_to` methods.
+/// [`crate::write_fixed`] or the builders' `write_to` methods. A context
+/// handed to a builder of another base switches to that base, rebuilding
+/// its power table, so one context per base avoids the rebuilds.
 ///
 /// ```
 /// use fpp_core::{write_shortest, DtoaContext};
@@ -56,6 +58,14 @@ impl DtoaContext {
     #[must_use]
     pub fn base(&self) -> u64 {
         self.powers.base()
+    }
+
+    /// Switches the context to output base `base`: one compare, and a new
+    /// power table only when the base actually changes.
+    pub(crate) fn set_base(&mut self, base: u64) {
+        if self.powers.base() != base {
+            self.powers = PowerTable::new(base);
+        }
     }
 
     /// The memoised power table (for advanced callers driving the engine

@@ -16,10 +16,10 @@
 //! end of the rounding range; every later position is a `#` mark. The
 //! range is under `10^(k_s+1)` wide, so every position from `k_s` up is a
 //! significant zero. Position `k_s − 1` is significant exactly when
-//! `high − V < 10^k_s`, that is when the round-to-odd `4·high·10^-k_s`
-//! (the shortest tier's `vbr`) is below the multiple of four
-//! `4(V·10^-k_s + 1)`. Round to odd compares with an even integer exactly
-//! as the true value does, so the comparison is exact.
+//! `high − V < 10^k_s`, that is when `high·10^(2−k_s)` is below the
+//! integer `100(V·10^-k_s + 1)`. Against an integer, `high·10^(2−k_s)`
+//! compares as its integer part does, and that is the shortest tier's
+//! `zi`, so the comparison is exact.
 //!
 //! Every other request — a coarser position, where the range widens, a
 //! finer one (subnormals reach it), another base or scaling strategy —
@@ -49,7 +49,9 @@ pub(crate) fn fixed(
 ) -> Option<FixedMeta> {
     let d = shortest::decide(c, q, narrow, EXCLUSIVE, tie);
     debug_assert!(d.s > 0, "the shortest tier never answers zero");
-    let len = d.s.ilog10() + 1;
+    // The answer at the scale k_s, trailing zeros kept.
+    let s_k = if d.e > d.k { 10 * d.s } else { d.s };
+    let len = s_k.ilog10() + 1;
     let k = d.k + len as i32;
     let j = match precision {
         FixedPrecision::AbsolutePosition(j) => i64::from(j),
@@ -68,7 +70,7 @@ pub(crate) fn fixed(
 
     digits.clear();
     digits.resize(len as usize, 0);
-    let mut s = d.s;
+    let mut s = s_k;
     for slot in digits.iter_mut().rev() {
         *slot = (s % 10) as u8;
         s /= 10;
@@ -76,7 +78,7 @@ pub(crate) fn fixed(
     let mut insignificant = 0;
     if below {
         // Position k_s − 1 is significant iff high − V < 10^k_s.
-        if d.vbr < (d.s + 1) << 2 {
+        if d.zi < 100 * (s_k + 1) {
             digits.push(0);
         } else {
             insignificant = 1;
@@ -100,6 +102,25 @@ fn pow10_below_pow2(j: i32, p: i32) -> bool {
 mod tests {
     use super::*;
     use fpp_bignum::Nat;
+    use fpp_float::FloatFormat;
+
+    /// `1e23` at 17 digits (DESIGN §15): the double `c·2^24` just below
+    /// `10^23`, whose upper end is exactly `10^23`. With `k_s = 7` and
+    /// sixteen 9s for `S`, `zi = ⌊10^23·10^-5⌋` equals `100(S + 1)`: the
+    /// upper end sits on the significance boundary of position `k_s − 1`,
+    /// so that position is a `#`. One `zi` lower, it would be a zero.
+    #[test]
+    fn upper_end_on_the_significance_boundary() {
+        let (_, c, q) = 1e23f64.decode().finite_parts().unwrap();
+        let d = shortest::decide(c, q, false, EXCLUSIVE, TieBreak::Up);
+        assert_eq!((d.s, d.e, d.k), (9_999_999_999_999_999, 7, 7));
+        assert_eq!(d.zi, 100 * (d.s + 1));
+        let mut digits = Vec::new();
+        let precision = FixedPrecision::SignificantDigits(17);
+        let meta = fixed(c, q, false, precision, TieBreak::Up, &mut digits).unwrap();
+        assert_eq!(digits, [9; 16]);
+        assert_eq!((meta.k, meta.insignificant, meta.position), (23, 1, 6));
+    }
 
     /// `10^j < 2^p` against exact powers around every `j` the tier tests.
     #[test]

@@ -375,22 +375,15 @@ impl FreeFormat {
     /// infinities, zeros) are always written directly.
     ///
     /// [`FreeFormat::write_to`] already calls this internally; it is public
-    /// so benchmarks can time the tier on its own.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ctx.base()` differs from this builder's base.
+    /// so benchmarks can time the tier on its own. A `ctx` of another base
+    /// switches to this builder's base.
     pub fn try_write_fast<F: FloatFormat>(
         &self,
         ctx: &mut DtoaContext,
         sink: &mut impl DigitSink,
         v: F,
     ) -> bool {
-        assert_eq!(
-            ctx.base(),
-            self.base,
-            "fpp_core: context base does not match the builder's base"
-        );
+        ctx.set_base(self.base);
         match finite_or_text(v.decode()) {
             Ok((negative, mantissa, exponent)) => {
                 self.write_shortest_tier::<F>(sink, negative, mantissa, exponent)
@@ -428,17 +421,10 @@ impl FreeFormat {
     /// byte-identical to [`FreeFormat::format_float`], without allocating
     /// once the context is warm. Eligible configurations go through the
     /// shortest tier (unless disabled via [`FreeFormat::fast_path`]); every
-    /// other one runs the exact Burger–Dybvig engine.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ctx.base()` differs from this builder's base.
+    /// other one runs the exact Burger–Dybvig engine. A `ctx` of another
+    /// base switches to this builder's base, rebuilding its power table.
     pub fn write_to<F: FloatFormat>(&self, ctx: &mut DtoaContext, sink: &mut impl DigitSink, v: F) {
-        assert_eq!(
-            ctx.base(),
-            self.base,
-            "fpp_core: context base does not match the builder's base"
-        );
+        ctx.set_base(self.base);
         let (negative, mantissa, exponent) = match finite_or_text(v.decode()) {
             Ok(parts) => parts,
             Err(text) => {
@@ -668,16 +654,14 @@ impl FixedFormat {
     /// digits. Every other request runs the exact Burger–Dybvig engine,
     /// with the same bytes.
     ///
+    /// A `ctx` of another base switches to this builder's base, rebuilding
+    /// its power table.
+    ///
     /// # Panics
     ///
-    /// Panics if `ctx.base()` differs from this builder's base, or on the
-    /// precision bounds documented on the builder methods.
+    /// Panics on the precision bounds documented on the builder methods.
     pub fn write_to<F: FloatFormat>(&self, ctx: &mut DtoaContext, sink: &mut impl DigitSink, v: F) {
-        assert_eq!(
-            ctx.base(),
-            self.base,
-            "fpp_core: context base does not match the builder's base"
-        );
+        ctx.set_base(self.base);
         let (negative, mantissa, exponent) = match finite_or_text(v.decode()) {
             Ok(parts) => parts,
             Err(text) => {

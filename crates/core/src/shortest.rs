@@ -1,41 +1,46 @@
 //! The shortest tier: exact shortest base-10 digits on `u64` arithmetic,
-//! in the style of Schubfach (Giulietti, *The Schubfach way to render
-//! doubles*, 2020), run in front of the Burger–Dybvig engine.
+//! in the style of Dragonbox (Jeon, *Dragonbox: A New Floating-Point
+//! Binary-to-Decimal Conversion Algorithm*, 2020) with `κ = 2`, run in
+//! front of the Burger–Dybvig engine.
 //!
 //! The tier answers every value it is given; there is no rejection and no
-//! fallback. For `v = c·2^q` it picks the decimal scale `k` so that the
-//! rounding interval spans between 1 and 10 units of `10^k`, computes the
-//! value and both interval ends as `4·x·10^-k` with one 126-bit table
-//! significand each, and reads the answer off those three integers:
+//! fallback. For `v = c·2^q` it works at the scale `10^(k−2)`, `k` chosen
+//! so that the rounding interval spans between 1 and 10 units of `10^k`:
+//! there the interval is `[z − δ, z]` with `100 ≤ δ < 1000`. One product
+//! of the upper end `z = (2c + 1)·2^(q−1)·10^(2−k)` with the table entry
+//! for `10^(2−k)` gives `⌊z⌋` and whether `z` is an integer; the width's
+//! integer part `δ` is a shift of the same entry. It reads the answer off
+//! those:
 //!
-//! * a multiple of ten, if one lies in the interval (at most one can: the
-//!   interval is under ten units wide);
-//! * otherwise `s = ⌊v·10^-k⌋` or `s + 1`, whichever the interval admits,
-//!   and the closer of the two when it admits both, with an exact tie
-//!   settled by [`TieBreak`].
+//! * a multiple of `10^(k+1)`, if one lies in the interval (at most one
+//!   can: the interval is under ten units of `10^k` wide). The largest
+//!   multiple of 1000 not above `⌊z⌋` lies `r = ⌊z⌋ mod 1000` below it, and
+//!   is in the interval when `r < δ`; only at `r = δ` is the lower end
+//!   consulted, through a parity-only product of `2c − 1`;
+//! * otherwise `v·10^-k` rounded to the nearest integer, which always lies
+//!   strictly inside the interval (it is at least 100 units of `10^(k−2)`
+//!   wide). `⌊z⌋ − ⌊δ/2⌋` is `⌊v·10^(2−k)⌋` or one more, which matters only
+//!   when the rounding distance is a multiple of 100; only then does a
+//!   parity-only product of `2c` settle it, and with it an exact tie,
+//!   which [`TieBreak`] decides.
 //!
 //! That is the Burger–Dybvig output: the coarsest digit position at which
 //! a candidate enters the interval, then the closer candidate there.
 //! Endpoint inclusion comes from the same [`Inclusivity`] rule the exact
-//! engine uses.
+//! engine uses. Below a power of two the interval is lopsided, and a
+//! shorter-interval routine reads both ends and the rounded value off the
+//! entry's high word by shifts alone.
 //!
-//! **Why the products are exact enough.** With `g = ⌊10^-k·2^-r⌋ + 1`
-//! (`r` chosen so `2^125 ≤ g ≤ 2^126`) and `cp = 4x·2^h`, the product
-//! `g·cp/2^127` exceeds the true `4x·10^-k` by at most `2^-67`. The tier
-//! keeps `⌊g·cp/2^64⌋`, takes its top bits as the integer part and ORs a
-//! sticky bit from the 63 bits below them: round to odd. An exact integer
-//! stays exact, because the excess is below `2^-63` and dropping the low
-//! product word discards it; keeping that word would turn every exact
-//! endpoint hit into an odd "inexact" result. A non-integer becomes an
-//! odd number with the right integer part, provided its fraction lies in
-//! `[2^-63, 1 − 2^-67)`; outside that band it still does where the
-//! integer part is odd. This is Giulietti's round-to-odd (`cp` is a
-//! multiple of four, so the bits he drops are exactly the low product
-//! word). The root test `theorems.rs` checks it in exact arithmetic for
-//! every binary exponent an `f64` reaches, at both scales.
-//! A round-to-odd result compares with any even integer exactly as the
-//! true value does, and every comparison below is against `4·n` or
-//! `4·n + 2`.
+//! **Why the products are exact.** The entry for `10^(2−k)` is a 128-bit
+//! ceiling, so each product `n·2^(q−1)·10^(2−k)` (`n` one of `2c − 1`,
+//! `2c`, `2c + 1`, all below `2^54`) comes out above the true value by less
+//! than `2^-65`. The integer part, its parity and the integer test (the
+//! top 64 fraction bits all zero) are then exact whenever the true
+//! fraction is 0 or lies in `[2^-64, 1 − 2^-64]`. The root test
+//! `theorems.rs` proves that for every `n < 2^54` and every binary
+//! exponent an `f64` reaches, in exact arithmetic, and checks the width's
+//! shift and the shorter-interval routine for every exponent and every
+//! precision up to 53 bits.
 
 use crate::generate::{Inclusivity, TieBreak};
 use fpp_bignum::pow5;
@@ -60,27 +65,35 @@ const F64_PRECISION: u32 = <f64 as FloatFormat>::PRECISION;
 const F64_MIN_EXP: i32 = <f64 as FloatFormat>::MIN_EXP;
 const F64_MAX_EXP: i32 = <f64 as FloatFormat>::MAX_EXP;
 
-/// `g = ⌊10^-k·2^-r⌋ + 1` with `2^125 ≤ g ≤ 2^126`, read off the shared
-/// 128-bit entry `M` for `5^-k`. The entry is `⌊X⌋` for `-k ≥ 0` and
-/// `⌊X⌋ + 1` for `-k < 0`, where `X ∈ [2^127, 2^128)` is the exact scaled
-/// power, so `⌊X/4⌋` is `M >> 2` or `(M − 1) >> 2` respectively.
-fn g(k: i32) -> u128 {
-    let m = pow5::entry(-k).as_u128();
-    if k <= 0 {
-        (m >> 2) + 1
-    } else {
-        ((m - 1) >> 2) + 1
-    }
+/// The working scale sits `KAPPA` decimal places below the answer's.
+const KAPPA: i32 = 2;
+
+/// The 128-bit significand of `10^e`, rounded up: the shared entry is
+/// already a ceiling for `e < 0`, exact for `0 ≤ e ≤ 55`, and a floor
+/// above.
+fn cache(e: i32) -> u128 {
+    pow5::entry(e).as_u128() + u128::from(e > 55)
 }
 
-/// Round to odd of `g·cp / 2^127`, dropping the low 64 product bits (see
-/// the module docs for why they must be dropped).
-fn rop(g: u128, cp: u64) -> u64 {
-    let cp = u128::from(cp);
-    // ⌊g·cp / 2^64⌋, exactly: g ≤ 2^126 and cp < 2^60, so neither partial
-    // product overflows.
-    let p = (g >> 64) * cp + (((g & u128::from(u64::MAX)) * cp) >> 64);
-    ((p >> 63) as u64) | u64::from(p as u64 & (u64::MAX >> 1) != 0)
+/// `⌊x·cache/2^128⌋` and whether the next 64 bits of the product are all
+/// zero: the integer part of the scaled value, and whether it is an
+/// integer.
+fn mul_upper(x: u64, cache: u128) -> (u64, bool) {
+    let x = u128::from(x);
+    let r = x * (cache >> 64) + ((x * (cache & u128::from(u64::MAX))) >> 64);
+    ((r >> 64) as u64, r as u64 == 0)
+}
+
+/// The parity of `⌊x·cache/2^(128−β)⌋` and whether the top 64 bits of its
+/// fraction are all zero, from the low 128 bits of the product only.
+fn mul_parity(x: u64, cache: u128, beta: u32) -> (bool, bool) {
+    let lo = u128::from(x) * (cache & u128::from(u64::MAX));
+    let high = x
+        .wrapping_mul((cache >> 64) as u64)
+        .wrapping_add((lo >> 64) as u64);
+    let parity = (high >> (64 - beta)) & 1 != 0;
+    let integer = (high << beta) | ((lo as u64) >> (64 - beta)) == 0;
+    (parity, integer)
 }
 
 /// The shortest, correctly rounded decimal `f·10^e` for `v = c·2^q`
@@ -95,65 +108,158 @@ pub(crate) fn shortest(
     tie: TieBreak,
 ) -> (u64, i32) {
     let d = decide(c, q, narrow, inc, tie);
-    strip_zeros(d.s, d.k)
+    strip_zeros(d.s, d.e)
 }
 
-/// The tier's answer at its own scale, before trailing zeros are stripped.
+/// The tier's answer, before trailing zeros are stripped.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Decision {
-    /// The answer is `s·10^k`.
+    /// The answer is `s·10^e`.
     pub s: u64,
+    /// `k + 1` when a multiple of `10^(k+1)` lies in the interval (`s` may
+    /// then end in zeros), else `k` (`s` then never ends in a zero: the
+    /// multiple of ten it would be lies in the interval).
+    pub e: i32,
     /// The scale: `⌊log10⌋` of the rounding interval's width.
     pub k: i32,
-    /// Round to odd of `4·high·10^-k`, `high` the interval's upper end.
-    pub vbr: u64,
+    /// `⌊high·10^(2−k)⌋`, `high` the interval's upper end; below a power
+    /// of two `100·⌊high·10^-k⌋`. Either compares with every multiple of
+    /// 100 as `high·10^(2−k)` does.
+    pub zi: u64,
 }
 
 /// [`shortest`]'s decision, with the answer at the scale it was made.
 pub(crate) fn decide(c: u64, q: i32, narrow: bool, inc: Inclusivity, tie: TieBreak) -> Decision {
     debug_assert!(c > 0 && c < 1 << F64_PRECISION);
-    // The interval ends, times four: (4c − 2, 4c + 2), or 4c − 1 below a
-    // power of two.
-    let cb = c << 2;
-    let cbr = cb + 2;
-    let (cbl, k) = if narrow {
-        (cb - 1, pow5::floor_log10_three_quarters_pow2(q))
-    } else {
-        (cb - 2, pow5::floor_log10_pow2(q))
-    };
-    let h = q + pow5::floor_log2_pow10(-k) + 2;
-    debug_assert!((2..=5).contains(&h), "scale shift {h} out of range");
-    let g = g(k);
-    let vb = rop(g, cb << h);
-    let vbl = rop(g, cbl << h);
-    let vbr = rop(g, cbr << h);
-    // An inclusive end admits equality: `x ≤ y` is `x < y + 1`.
-    let low_in = |n: u64| vbl < (n << 2) + u64::from(inc.low_ok);
-    let high_in = |n: u64| n << 2 < vbr + u64::from(inc.high_ok);
+    if narrow {
+        return decide_narrow(c, q, inc, tie);
+    }
+    let k = pow5::floor_log10_pow2(q);
+    let cache = cache(KAPPA - k);
+    let beta = (q + pow5::floor_log2_pow10(KAPPA - k)) as u32;
+    debug_assert!((6..=9).contains(&beta), "scale shift {beta} out of range");
+    let two_c = c << 1;
+    // The products n·2^(q−1)·10^(2−k) can be integers only where 5^(k−2)
+    // divides some n < 2^54 < 5^24; elsewhere a fraction below 2^-64 reads
+    // as zero (theorems.rs lists the five).
+    let can_be_integer = k - KAPPA <= 23;
+    // z = (2c + 1)·2^(q−1)·10^(2−k), the interval's upper end.
+    let (zi, z_integer) = mul_upper((two_c | 1) << beta, cache);
+    let z_integer = z_integer & can_be_integer;
+    // δ = ⌊2^q·10^(2−k)⌋, the interval's width, in [100, 1000).
+    let delta = ((cache >> 64) as u64) >> (63 - beta);
 
-    // Both candidates are computed and one is selected with no
-    // data-dependent branch: the tests below are flags, not conditions.
-    let s = vb >> 2;
-    // One position coarser: the multiples of ten around v. There is no
-    // lower bound on s here: like the exact engine, a candidate at a
-    // coarser position wins even against an equally short finer one
-    // (2^-133 prints as 1e-40, not 9e-41). sp10 = 0 is never admitted.
-    let sp10 = s / 10 * 10;
-    let tp10 = sp10 + 10;
-    let (upin, wpin) = (low_in(sp10), high_in(tp10));
-    let coarse = if upin { sp10 } else { tp10 };
-    // At the scale itself: s or s + 1, whichever the interval admits, and
-    // when it admits both (or neither), the closer to 4v·10^-k, with a tie
-    // at the midpoint 4s + 2 settled on the last digit s − sp10.
-    let (uin, win) = (low_in(s), high_in(s + 1));
-    let mid = (s << 2) + 2;
-    let closer_up = (vb > mid) | ((vb == mid) & tie.rounds_up((s - sp10) as u8));
-    let up = (win & !uin) | ((uin == win) & closer_up);
-    let fine = s + u64::from(up);
+    // The largest multiple of 1000 not above z lies r below ⌊z⌋. Below
+    // δ it lies strictly above the lower end; it is the upper end itself
+    // when r = 0 and z is an integer, and an excluded upper end leaves the
+    // multiple below, which lies under the lower end.
+    let big = zi / 1000;
+    let r = zi - 1000 * big;
+    let excluded = (r == 0) & z_integer & !inc.high_ok;
+    let mut coarse = (r < delta) & !excluded;
+    if r == delta {
+        // The multiple is ⌊z⌋ − ⌊δ⌋, and the lower end z − δ has that
+        // integer part (even: a multiple of 1000) or one less.
+        let (odd, integer) = mul_parity(two_c - 1, cache, beta);
+        coarse = odd | (integer & can_be_integer & inc.low_ok);
+    }
+
+    // Otherwise v·10^(2−k) = z − δ/2 rounded to a multiple of 100. With
+    // ⌊δ/2⌋ for δ/2 the rounded quotient is right unless t is a multiple of
+    // 100 and ⌊v·10^(2−k)⌋ is one less than ⌊z⌋ − ⌊δ/2⌋. It is computed
+    // from ⌊z⌋ alone, beside the coarser candidate rather than after it,
+    // and one of the two is selected with no branch.
+    let t = zi - (delta >> 1) + 50;
+    let mut fine = t / 100;
+    if t.is_multiple_of(100) & !coarse {
+        // ⌊z⌋ − ⌊δ/2⌋ has the parity of t − 50.
+        let (odd, integer) = mul_parity(two_c, cache, beta);
+        let approx_odd = t & 1 != 0;
+        // Equal parities: v·10^(2−k) is at least 50 above a multiple of
+        // 100, a tie exactly when it is an integer.
+        let tie_point = integer & can_be_integer;
+        if odd != approx_odd || (tie_point && !tie.rounds_up(((fine - 1) % 10) as u8)) {
+            fine -= 1;
+        }
+    }
     // Which candidate wins varies from value to value, so a branch here
     // would mispredict often.
-    let s = std::hint::select_unpredictable(upin != wpin, coarse, fine);
-    Decision { s, k, vbr }
+    let s = std::hint::select_unpredictable(coarse, big, fine);
+    Decision {
+        s,
+        e: k + i32::from(coarse),
+        k,
+        zi,
+    }
+}
+
+/// [`decide`] below a power of two, `c = 2^(p−1)` with `p` the format's
+/// precision: the interval is `(c − ¼, c + ½)·2^q`, and with
+/// `k = ⌊log10(¾·2^q)⌋` it is between 1 and 10 units of `10^k` wide.
+/// Dragonbox's shorter-interval routine: both ends and `v·10^-k` come from
+/// the entry for `10^-k` by shifts. It shifts the whole 128-bit ceiling,
+/// not its high word as Dragonbox does for `f64` alone, so that each end
+/// comes out at or just above its true value and an end that is an
+/// integer keeps its integer part (`f16`'s `2^12 − 1 = 5·819` makes such
+/// ends where the entry is inexact). `theorems.rs` checks every read
+/// against the exact value for every exponent and precision.
+#[cold]
+#[inline(never)]
+fn decide_narrow(c: u64, q: i32, inc: Inclusivity, tie: TieBreak) -> Decision {
+    let p = c.trailing_zeros() + 1;
+    let k = pow5::floor_log10_three_quarters_pow2(q);
+    let cache = cache(-k);
+    let beta = (q + pow5::floor_log2_pow10(-k)) as u32;
+    debug_assert!(beta <= 3, "scale shift {beta} out of range");
+    // 2^(p−1+q)·10^-k = cache·2^-shift.
+    let shift = 128 - p - beta;
+    // ⌊x⌋ and ⌊z⌋ for the ends x = (1 − 2^-(p+1))·cache·2^-shift and
+    // z = (1 + 2^-p)·cache·2^-shift, each product rounded up.
+    let floor_x = ((cache - (cache >> (p + 1))) >> shift) as u64;
+    let floor_z = (((cache >> 1) + (cache >> (p + 1)) + 2) >> (shift - 1)) as u64;
+    let zi = if !inc.high_ok && is_integer((1 << p) + 1, q - 1, -k) {
+        floor_z - 1
+    } else {
+        floor_z
+    };
+    let xi = if inc.low_ok && is_integer((2 << p) - 1, q - 2, -k) {
+        floor_x
+    } else {
+        floor_x + 1
+    };
+    // [xi, zi] are the integers in the interval, at least one.
+    let big = zi / 10;
+    if big * 10 >= xi {
+        return Decision {
+            s: big,
+            e: k + 1,
+            k,
+            zi: 100 * floor_z,
+        };
+    }
+    // ⌊v·10^-k + ½⌋. It lies under the upper end, but may lie under the
+    // lower one.
+    let mut s = ((cache >> (shift - 1)) as u64).div_ceil(2);
+    // An exact tie: 2v·10^-k = 2^(p+q−k)·5^-k is an odd integer.
+    let tie_point = -k >= 0 && p as i32 + q - k == 0;
+    if tie_point && !tie.rounds_up(((s - 1) % 10) as u8) {
+        s -= 1;
+    }
+    if s < xi {
+        s += 1;
+    }
+    Decision {
+        s,
+        e: k,
+        k,
+        zi: 100 * floor_z,
+    }
+}
+
+/// Whether `n·2^e·10^t` is an integer.
+fn is_integer(n: u64, e: i32, t: i32) -> bool {
+    n.trailing_zeros() as i32 + e + t >= 0
+        && (t >= 0 || (-t <= 27 && n.is_multiple_of(5u64.pow(t.unsigned_abs()))))
 }
 
 /// Moves trailing decimal zeros of `f` into the exponent.
@@ -168,47 +274,19 @@ fn strip_zeros(mut f: u64, mut e: i32) -> (u64, i32) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fpp_bignum::Nat;
 
-    /// Every `g` the tier can use is exactly `⌊10^-k·2^-r⌋ + 1` with
-    /// `r = ⌊-k·log2 10⌋ − 125`, checked as `(g − 1)·2^r ≤ 10^-k < g·2^r`
-    /// in exact integers.
-    #[test]
-    fn g_is_floor_plus_one_of_the_exact_power() {
-        let k_min = pow5::floor_log10_pow2(F64_MIN_EXP);
-        let k_max = pow5::floor_log10_pow2(F64_MAX_EXP);
-        let nat = |x: u128| Nat::from_limbs(vec![x as u64, (x >> 64) as u64]);
-        for k in k_min..=k_max {
-            let g = g(k);
-            assert!((1u128 << 125..=1u128 << 126).contains(&g), "k = {k}");
-            let r = pow5::floor_log2_pow10(-k) - 125;
-            // 10^-k = a/b in integers; 2^r moves to whichever side keeps
-            // its exponent non-negative.
-            let ten = Nat::u64_pow(10, k.unsigned_abs());
-            let (mut a, b) = if k <= 0 {
-                (ten, Nat::one())
-            } else {
-                (Nat::one(), ten)
-            };
-            let (mut lo, mut hi) = (&nat(g - 1) * &b, &nat(g) * &b);
-            if r >= 0 {
-                lo <<= r.unsigned_abs();
-                hi <<= r.unsigned_abs();
-            } else {
-                a <<= r.unsigned_abs();
-            }
-            assert!(lo <= a && a < hi, "k = {k}");
-        }
-    }
-
-    fn digits(v: f64) -> (u64, i32) {
+    fn digits_with(v: f64, tie: TieBreak) -> (u64, i32) {
         let (_, c, q) = v.decode().finite_parts().unwrap();
         let narrow = narrow::<f64>(c, q);
         let inc = Inclusivity {
             low_ok: c % 2 == 0,
             high_ok: c % 2 == 0,
         };
-        shortest(c, q, narrow, inc, TieBreak::Up)
+        shortest(c, q, narrow, inc, tie)
+    }
+
+    fn digits(v: f64) -> (u64, i32) {
+        digits_with(v, TieBreak::Up)
     }
 
     #[test]
@@ -217,11 +295,52 @@ mod tests {
         assert_eq!(digits(1.0), (1, 0));
         assert_eq!(digits(100.0), (1, 2));
         assert_eq!(digits(1e23), (1, 23));
+        // The smallest subnormal: the table's entry for 10^326.
         assert_eq!(digits(5e-324), (5, -324));
         assert_eq!(digits(1e-323), (1, -323));
         assert_eq!(digits(5e-323), (5, -323));
         assert_eq!(digits(f64::MAX), (17976931348623157, 292));
-        assert_eq!(digits(f64::MIN_POSITIVE), (22250738585072014, -324));
         assert_eq!(digits(std::f64::consts::PI), (3141592653589793, -15));
+        // The shorter interval at both ends of the normal range.
+        assert_eq!(digits(f64::MIN_POSITIVE), (22250738585072014, -324));
+        assert_eq!(digits(2f64.powi(1023)), (898846567431158, 293));
+        // A coarser candidate wins over an equally short finer one: 2^-133,
+        // the smallest subnormal bf16, prints as 1e-40, not 9e-41.
+        let odd = Inclusivity {
+            low_ok: false,
+            high_ok: false,
+        };
+        assert_eq!(shortest(1, -133, false, odd, TieBreak::Up), (1, -40));
+        // An exact tie at the finer position, settled by the rule.
+        let tie = 2f64.powi(50) + 0.25;
+        assert_eq!(digits_with(tie, TieBreak::Up), (11258999068426243, -1));
+        assert_eq!(digits_with(tie, TieBreak::Down), (11258999068426242, -1));
+        assert_eq!(digits_with(tie, TieBreak::Even), (11258999068426242, -1));
+    }
+
+    /// The integer test against exact rationals on small arguments.
+    #[test]
+    fn is_integer_matches_exact_division() {
+        for n in 1..=200u64 {
+            for e in -6..=6i32 {
+                for t in -4..=4i32 {
+                    // n·2^e·10^t = num/den in integers.
+                    let (mut num, mut den) = (u128::from(n), 1u128);
+                    let two = 1u128 << e.unsigned_abs();
+                    let ten = 10u128.pow(t.unsigned_abs());
+                    if e >= 0 {
+                        num *= two
+                    } else {
+                        den *= two
+                    }
+                    if t >= 0 {
+                        num *= ten
+                    } else {
+                        den *= ten
+                    }
+                    assert_eq!(is_integer(n, e, t), num % den == 0, "{n}·2^{e}·10^{t}");
+                }
+            }
+        }
     }
 }

@@ -18,6 +18,7 @@
 //! cargo test --release --test fastpath_parity
 //! cargo test --release --test fastpath_parity -- --ignored ten_million
 //! cargo test --release --test fastpath_parity -- --ignored layout_matrix_one_million
+//! cargo test --release --test fastpath_parity -- --ignored strided_f32
 //! cargo test --release --test fastpath_parity -- --ignored exhaustive
 //! ```
 
@@ -243,6 +244,25 @@ fn sampled_f32_parity() {
     }
 }
 
+/// Every `f64` and `f32` power of two, subnormal ones included, under every
+/// rounding mode the tier serves and every tie rule: the shorter interval
+/// below each normal power, at every exponent, with each endpoint rule.
+#[test]
+fn every_power_of_two_all_modes_and_ties() {
+    let mut ctx = DtoaContext::new(10);
+    for mode in NEAREST_MODES {
+        for tie in TIE_BREAKS {
+            let pair = Pair::new(mode, tie);
+            for e in -1074..=1023 {
+                pair.check(&mut ctx, 2f64.powi(e));
+            }
+            for e in -149..=127 {
+                pair.check(&mut ctx, 2f32.powi(e));
+            }
+        }
+    }
+}
+
 /// Every rounding mode the tier serves, with every tie rule: endpoint
 /// inclusion and tie resolution are where the configurations differ.
 #[test]
@@ -374,11 +394,11 @@ fn small_subnormal_f64_parity() {
 
 /// Hazard stratum: in `[2^53, 2^57)` the interval ends `v ± ulp/2` are
 /// integers, so they can land exactly on a shorter decimal (for example
-/// `23695218488134108 + 2 = 23695218488134110`). A round-to-odd that
-/// keeps the low product word misreads those exact hits as inexact. The
-/// column takes every power of two and ten in the range, and sampled
-/// values whose upper or lower end is a multiple of ten, each with its
-/// ±1 ulp neighbors, under every nearest-family rounding mode.
+/// `23695218488134108 + 2 = 23695218488134110`). A product whose integer
+/// test misreads those exact hits as inexact gets the endpoint rule wrong
+/// there. The column takes every power of two and ten in the range, and
+/// sampled values whose upper or lower end is a multiple of ten, each with
+/// its ±1 ulp neighbors, under every nearest-family rounding mode.
 #[test]
 fn exact_endpoint_hits_above_2_53() {
     let mut centers: Vec<f64> = (53..57).map(|e| 2f64.powi(e)).collect();
@@ -468,27 +488,42 @@ fn f64_parity_ten_million_samples() {
     assert_eq!(checked, 10_000_000);
 }
 
-/// Every positive finite f32 — the sweep the paper's correctness claims
-/// are usually demonstrated with. Sign handling is orthogonal (the digit
-/// pipeline sees `|v|`; the sign is prepended afterwards), so sweeping the
-/// positive half covers the digit logic exhaustively. The range is split
-/// across the available cores.
-#[test]
-#[ignore = "exhaustive 2^31-ish sweep; run once per release by hand"]
-fn exhaustive_f32_parity_sweep() {
+/// Every `stride`-th positive finite `f32`, from the smallest subnormal
+/// up, split across the available cores.
+fn f32_parity_sweep(stride: u32) {
     // 0x7F80_0000 is +inf; everything below and above 0 is positive finite.
     const END: u32 = 0x7F80_0000;
+    let count = (END - 2) / stride + 1;
     let threads = std::thread::available_parallelism().map_or(1, |n| n.get()) as u32;
-    let chunk = END.div_ceil(threads);
+    let chunk = count.div_ceil(threads);
     std::thread::scope(|scope| {
         for t in 0..threads {
             scope.spawn(move || {
                 let mut ctx = DtoaContext::new(10);
                 let pair = Pair::default_recipe();
-                for bits in (t * chunk).max(1)..((t + 1) * chunk).min(END) {
-                    pair.check(&mut ctx, f32::from_bits(bits));
+                for i in t * chunk..((t + 1) * chunk).min(count) {
+                    pair.check(&mut ctx, f32::from_bits(1 + i * stride));
                 }
             });
         }
     });
+}
+
+/// Every positive finite f32 — the sweep the paper's correctness claims
+/// are usually demonstrated with. Sign handling is orthogonal (the digit
+/// pipeline sees `|v|`; the sign is prepended afterwards), so sweeping the
+/// positive half covers the digit logic exhaustively.
+#[test]
+#[ignore = "exhaustive 2^31-ish sweep; run once per release by hand"]
+fn exhaustive_f32_parity_sweep() {
+    f32_parity_sweep(1);
+}
+
+/// Every 29th positive finite f32: about 74 million values across every
+/// binade and the subnormals, in under a minute in release mode on two
+/// cores. `ci.sh` runs it next to `ten_million`.
+#[test]
+#[ignore = "long-running; exercised by ci.sh in release mode"]
+fn strided_f32_parity_sweep() {
+    f32_parity_sweep(29);
 }

@@ -2,7 +2,9 @@
 //! rendering options.
 
 use fpp::bignum::PowerTable;
-use fpp::core::{DigitStream, ExponentStyle, FixedFormat, FreeFormat, Notation, RenderOptions};
+use fpp::core::{
+    DigitStream, DtoaContext, ExponentStyle, FixedFormat, FreeFormat, Notation, RenderOptions,
+};
 use fpp::float::{RoundingMode, SoftFloat};
 
 #[test]
@@ -92,4 +94,35 @@ fn uppercase_exponent_style() {
             ..RenderOptions::default()
         });
     assert_eq!(fmt.format(1e100), "1E100");
+}
+
+/// A context of another base switches to the builder's base: the bytes are
+/// the builder's, through the shortest tier, the exact engine and the
+/// fixed format, and a later call in the context's first base still works.
+#[test]
+fn context_switches_to_the_builders_base() {
+    let mut ctx = DtoaContext::new(16);
+    let mut out = Vec::new();
+    for v in [0.1, 1e23, 5e-324, f64::MAX] {
+        for fmt in [FreeFormat::new(), FreeFormat::new().fast_path(false)] {
+            out.clear();
+            fmt.write_to(&mut ctx, &mut out, v);
+            assert_eq!(out, fmt.format(v).as_bytes(), "{v}");
+        }
+        let fixed = FixedFormat::new().significant_digits(17);
+        out.clear();
+        fixed.write_to(&mut ctx, &mut out, v);
+        assert_eq!(out, fixed.format(v).as_bytes(), "{v}");
+        // Positions below the float's own precision run the exact engine.
+        let fine = FixedFormat::new().significant_digits(25);
+        out.clear();
+        fine.write_to(&mut ctx, &mut out, v);
+        assert_eq!(out, fine.format(v).as_bytes(), "{v}");
+    }
+    assert_eq!(ctx.base(), 10);
+    let hex = FreeFormat::new().base(16);
+    out.clear();
+    hex.write_to(&mut ctx, &mut out, 0.5);
+    assert_eq!(out, b"0.8");
+    assert_eq!(ctx.base(), 16);
 }

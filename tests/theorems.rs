@@ -11,8 +11,9 @@
 //! * Theorem 5 — minimal length: no (n−1)-digit output lies in the range.
 //!
 //! It also proves the bound the `u64` tiers rest on: every product the
-//! shortest and fixed tiers round to odd has a fraction of 0 or one inside
-//! `[2^-63, 1 − 2^-63)`, for every binary exponent an `f64` reaches (DESIGN
+//! shortest tier's decision (which the fixed tier shares) reads has a
+//! fraction of 0 or one inside `[2^-64, 1 − 2^-64]`, for every binary
+//! exponent an `f64` reaches and every significand below `2^53` (DESIGN
 //! §12 and §15).
 
 mod common;
@@ -289,83 +290,148 @@ fn scale_ratio(q: i32, k: i32) -> (Nat, Nat) {
     (num, den)
 }
 
-/// The round-to-odd products of the `u64` tiers are exact.
+/// `x` as a `u128`, which it must fit.
+fn to_u128(x: &Nat) -> u128 {
+    let limbs = x.limbs();
+    assert!(limbs.len() <= 2, "{x} exceeds 128 bits");
+    limbs
+        .iter()
+        .rev()
+        .fold(0, |acc, &limb| (acc << 64) | u128::from(limb))
+}
+
+/// The shortest tier's table significand of `10^e`: the shared entry,
+/// rounded up where it is a floor.
+fn cache(e: i32) -> u128 {
+    pow5::entry(e).as_u128() + u128::from(e > 55)
+}
+
+/// `⌊x·cache/2^128⌋` and whether the next 64 product bits are zero, as
+/// the tier computes them.
+fn mul_upper(x: u64, cache: u128) -> (u64, bool) {
+    let r = (Nat::from(u128::from(x)) * &Nat::from(cache)) >> 64;
+    let r = to_u128(&r);
+    ((r >> 64) as u64, r as u64 == 0)
+}
+
+/// The parity of `⌊x·cache/2^(128−β)⌋` and whether the top 64 bits of its
+/// fraction are zero, as the tier computes them.
+fn mul_parity(x: u64, cache: u128, beta: u32) -> (bool, bool) {
+    let p = Nat::from(u128::from(x)) * &Nat::from(cache);
+    let fraction = &p - &(&(&p >> (128 - beta)) << (128 - beta));
+    (
+        p.bit(u64::from(128 - beta)),
+        (&fraction >> (64 - beta)).is_zero(),
+    )
+}
+
+/// The products of the shortest tier's decision are exact.
 ///
-/// For `v = c·2^q` at scale `k` the tiers multiply a numerator `x` by a
-/// 126-bit overestimate of `10^-k` and read `T = x·2^q·10^-k` off the
-/// product, which exceeds it by under `2^-67`. They keep `⌊T⌋` with a
-/// sticky bit for a non-zero fraction: the round to odd of `T`. That is
-/// exactly right when the fraction of `T` is 0 or lies in
-/// `[2^-63, 1 − 2^-63)`. Outside that band the sticky bit may be lost, and
-/// the result is still the round to odd of `T` exactly when the integer it
-/// lands on, `⌊T⌋` below or `⌈T⌉` above, is odd.
+/// For `v = c·2^q` away from a power of two the tier works at the scale
+/// `k = ⌊q·log10 2⌋ − 2` and multiplies `n·2^β` by `cache`, the 128-bit
+/// ceiling of `10^-k`, for `n` one of `2c − 1`, `2c` and `2c + 1`. The
+/// product `T'` exceeds `T = n·2^(q−1)·10^-k` by under `n·2^(β−128) <
+/// 2^-65`. Its integer part, the parity of that, and the integer test
+/// (the top 64 fraction bits all zero) are then those of `T` whenever the
+/// fraction of `T` is 0 or lies in `[2^-64, 1 − 2^-64]`. The test proves
+/// that for every `n < 2^54`, so every `c < 2^53`, through the min–max
+/// Euclid walk, and checks each product that falls outside the band
+/// directly. It also checks, for every exponent, that `cache` is the
+/// ceiling, that `β` keeps `n·2^β` below `2^63`, and that the width
+/// `cache_hi >> (63 − β)` is exactly `⌊2^q·10^-k⌋` and in `[100, 1000)`.
 ///
-/// The numerators are `4c − 2`, `4c` and `4c + 2` at the scale
-/// `⌊q·log10 2⌋`, and `4c − 1`, `4c`, `4c + 2` for a power-of-two `c` at
-/// `⌊log10(¾·2^q)⌋`. This covers every `q` an `f64` reaches, subnormals
-/// included: the even numerators `x = 2y` for every `y ≤ 2^54 + 1` through
-/// the min–max Euclid walk, and the power-of-two numerators for every
-/// precision up to 53 bits one by one. Every format the tiers serve shares
-/// `f64`'s exponent range with no more significand bits, so this covers
-/// them all. The few products outside the band are pinned.
+/// Below a power of two the tier reads `⌊x⌋`, `⌊z⌋` and `⌊y + ½⌋` for the
+/// ends `x = (2^(p+1) − 1)·2^(q−2)·10^-k`, `z = (2^p + 1)·2^(q−1)·10^-k`
+/// and the value `y = 2^(p−1+q)·10^-k` (`k = ⌊log10(¾·2^q)⌋`) off the
+/// high word of the ceiling of `10^-k` by shifts; the test compares each
+/// with its exact value for every precision `p ≤ 53`.
+///
+/// This covers every `q` an `f64` reaches, subnormals included, and every
+/// format the tier serves shares `f64`'s exponent range with no more
+/// significand bits. So no exponent is left to the exact engine.
 #[test]
-fn round_to_odd_products_are_exact_for_every_f64_exponent() {
+fn one_product_decision_is_exact_for_every_f64_exponent() {
     let mut outside = Vec::new();
-    let mut wrong = Vec::new();
     for q in <f64 as FloatFormat>::MIN_EXP..=<f64 as FloatFormat>::MAX_EXP {
-        let wide = pow5::floor_log10_pow2(q);
-        let narrow = pow5::floor_log10_three_quarters_pow2(q);
-        let mut check = |k: i32, x: u64, num: &Nat, den: &Nat, near_one: bool| {
-            // ⌊T⌋ must be odd below the band, ⌈T⌉ = ⌊T⌋ + 1 above it.
-            let floor = &(num * x) / den;
-            outside.push((q, k, x));
-            if floor.is_even() != near_one {
-                wrong.push((q, k, x));
-            }
-        };
-        let (num, den) = scale_ratio(q, wide);
-        // T = y·(2·num/den), in lowest terms a/m.
-        let (two_num, m) = if den.is_even() {
-            (num.clone(), &den >> 1)
-        } else {
-            (&num * 2u64, den.clone())
-        };
-        if !m.is_one() {
-            // A fraction below 2^-63 is a residue with residue·2^63 < m.
-            let low = &((&m - &Nat::one()) >> 63) + &Nat::one();
-            let high = &(&m >> 63) + &Nat::one();
-            let a = &two_num % &m;
-            for (a, near_one, below) in [(a.clone(), false, low), (&m - &a, true, high)] {
-                let mut ys = Vec::new();
-                small_residues(&a, &m, (1 << 54) + 1, &below, &mut ys);
-                for y in ys {
-                    check(wide, 2 * y, &num, &den, near_one);
-                }
-            }
+        let k = pow5::floor_log10_pow2(q) - 2;
+        let cache = cache(-k);
+        let shift = pow5::floor_log2_pow10(-k);
+        // cache − 1 < 10^-k·2^(127 − shift) ≤ cache.
+        let (num, den) = scale_ratio(127 - shift, k);
+        let (low, high) = (Nat::from(cache - 1) * &den, Nat::from(cache) * &den);
+        assert!(low < num && num <= high, "q = {q}: not the ceiling");
+        let beta = u32::try_from(q + shift).expect("β ≥ 0");
+        assert!((6..=9).contains(&beta), "q = {q}: β = {beta}");
+        let (num, den) = scale_ratio(q, k);
+        let delta = ((cache >> 64) as u64) >> (63 - beta);
+        assert_eq!(Nat::from(u128::from(delta)), &num / &den, "q = {q}: width");
+        assert!((100..1000).contains(&delta), "q = {q}: width {delta}");
+
+        // T = n·(a/m) in lowest terms; a fraction within 2^-64 of 0 or 1
+        // is a residue or a co-residue below m/2^64.
+        let (a, m) = scale_ratio(q - 1, k);
+        let below = &((&m - &Nat::one()) >> 64) + &Nat::one();
+        if below.is_one() {
+            continue;
         }
-        let (num, den) = scale_ratio(q, narrow);
-        for p in 1..=53u32 {
-            for x in [(2u64 << p) - 1, 2 << p, (2 << p) + 2] {
-                let r = &(&num * x) % &den;
-                if r.is_zero() {
-                    continue;
-                }
-                if (&r << 63) < den {
-                    check(narrow, x, &num, &den, false);
-                } else if (&(&den - &r) << 63) <= den {
-                    check(narrow, x, &num, &den, true);
-                }
-            }
+        let a = &a % &m;
+        for a in [a.clone(), &m - &a] {
+            let mut ns = Vec::new();
+            small_residues(&a, &m, (1 << 54) - 1, &below, &mut ns);
+            outside.extend(ns.into_iter().map(|n| (q, n)));
         }
     }
-    assert_eq!(wrong, [], "products that may not round to odd");
+    // Each product outside the band, read as the tier reads it: the
+    // integer test counts only where 5^k can divide n < 2^54.
+    for &(q, n) in &outside {
+        let k = pow5::floor_log10_pow2(q) - 2;
+        let beta = (q + pow5::floor_log2_pow10(-k)) as u32;
+        let (a, m) = scale_ratio(q - 1, k);
+        let t = &a * n;
+        let (floor, integer) = (&t / &m, (&t % &m).is_zero());
+        let (odd, parity_integer) = mul_parity(n, cache(-k), beta);
+        let want = (!floor.is_even(), integer);
+        assert_eq!((odd, parity_integer && k <= 23), want, "q = {q}, n = {n}");
+        if n % 2 == 1 {
+            let (zi, z_integer) = mul_upper(n << beta, cache(-k));
+            let z = (Nat::from(u128::from(zi)), z_integer && k <= 23);
+            assert_eq!(z, (floor, integer), "q = {q}, n = {n}");
+        }
+    }
+    // All below 2^-64, where the integer test cannot hold.
     assert_eq!(
         outside,
         [
-            (163, 49, 22368470718514044),
-            (164, 49, 11184235359257022),
-            (664, 199, 35548220997423152),
+            (668, 4443527624677894),
+            (668, 8887055249355788),
+            (669, 2221763812338947),
+            (669, 4443527624677894),
+            (670, 2221763812338947),
         ],
-        "products outside [2^-63, 1 − 2^-63) changed"
+        "products with a fraction within 2^-64 of 0 or 1 changed"
     );
+
+    for q in <f64 as FloatFormat>::MIN_EXP + 1..=<f64 as FloatFormat>::MAX_EXP {
+        let k = pow5::floor_log10_three_quarters_pow2(q);
+        let cache = cache(-k);
+        let beta = u32::try_from(q + pow5::floor_log2_pow10(-k)).expect("β ≥ 0");
+        assert!(beta <= 3, "q = {q}: β = {beta}");
+        // 2^q·10^-k = num/den.
+        let (num, den) = scale_ratio(q, k);
+        for p in 1..=53u32 {
+            let shift = 128 - p - beta;
+            let floor_x = (cache - (cache >> (p + 1))) >> shift;
+            let floor_z = ((cache >> 1) + (cache >> (p + 1)) + 2) >> (shift - 1);
+            let round_y = (cache >> (shift - 1)).div_ceil(2);
+            // x = (2^(p+1) − 1)·2^(q−2)·10^-k, z = (2^p + 1)·2^(q−1)·10^-k.
+            let floor = |times: u64, over: u32| &(&num * times) / &(&den << over);
+            let x = floor((2 << p) - 1, 2);
+            let z = floor((1 << p) + 1, 1);
+            // ⌊y + ½⌋ for y = 2^(p−1+q)·10^-k: (2^p·num + den)/(2·den).
+            let y = &(&(&num << p) + &den) / &(&den << 1);
+            assert_eq!(Nat::from(floor_x), x, "q = {q}, p = {p}: lower end");
+            assert_eq!(Nat::from(floor_z), z, "q = {q}, p = {p}: upper end");
+            assert_eq!(Nat::from(round_y), y, "q = {q}, p = {p}: rounded value");
+        }
+    }
 }
