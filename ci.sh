@@ -59,7 +59,8 @@ echo "== reader: parse parity + round-trip batteries (release) =="
 # generated literals, adversarial halfway corpus, the sampled 10M-value
 # round trip, the fast-grammar edge cases, the scanner's 8-byte and
 # 19-digit boundaries, and the seeded mutation fuzzer — plus its 2M-mutant
-# sweep (ignored by default — it needs release-mode speed).
+# sweep and every 29th non-negative f32 round trip (ignored by default —
+# they need release-mode speed).
 cargo test --release -q --test reader_differential
 cargo test --release -q --test reader_adversarial
 cargo test --release -q --test reader_roundtrip
@@ -67,6 +68,7 @@ cargo test --release -q --test reader_edgecases
 cargo test --release -q --test reader_scanner
 cargo test --release -q --test reader_mutation
 cargo test --release -q --test reader_mutation -- --ignored
+cargo test --release -q --test reader_roundtrip -- --ignored strided_f32
 
 echo "== every feature: build + tests (--all-features) =="
 # The instrumented configuration is a separate feature unification: build it,

@@ -1,10 +1,9 @@
-//! Conversion of a literal to a correctly rounded hardware float: the fast
-//! tiers (Clinger's one-operation path, then Eisel–Lemire) over a scanned
-//! decimal, and the exact route, which is the binary instance of the
-//! format-generic converter behind [`crate::read_soft`].
+//! Conversion of a literal to a correctly rounded hardware float: the
+//! Eisel–Lemire tier over a scanned decimal, and the exact route, which is
+//! the binary instance of the format-generic converter behind
+//! [`crate::read_soft`].
 
-use crate::fast::fast_path;
-use crate::lemire::eisel_lemire;
+use crate::lemire::{eisel_lemire, LemireFloat};
 use crate::parse::Literal;
 use crate::scan::ScannedDecimal;
 use crate::soft::{round_to_format, Rounded, SoftFormat};
@@ -63,70 +62,39 @@ pub fn decimal_to_float<F: FloatFormat>(lit: &Literal, base: u64, rounding: Roun
     }
 }
 
-/// Converts a scanned base-10 literal to `f64` through the fast tiers
-/// only, under round-to-nearest-even: Clinger's one-operation path first,
-/// then Eisel–Lemire. `None` means no tier could certify the rounding and
-/// the caller must take the general parse → exact route. The tiers compute
-/// the magnitude; the sign is applied by negating it. Records reader
-/// telemetry on success.
-pub(crate) fn scanned_to_f64(sc: &ScannedDecimal) -> Option<f64> {
-    let clinger = if sc.truncated {
-        None
-    } else {
-        fast_path(sc.mantissa, sc.exponent)
-    };
-    let v = match clinger {
-        Some(v) => {
-            fpp_telemetry::record_read(ReadPath::FastPath);
-            v
-        }
-        None => {
-            let v = scanned_eisel_lemire::<f64>(sc)?;
-            fpp_telemetry::record_read(ReadPath::EiselLemire);
-            v
-        }
-    };
-    Some(if sc.negative { -v } else { v })
-}
-
-/// `f32` counterpart of [`scanned_to_f64`] (Eisel–Lemire only: Clinger's
-/// path is `f64` arithmetic).
-pub(crate) fn scanned_to_f32(sc: &ScannedDecimal) -> Option<f32> {
-    let v = scanned_eisel_lemire::<f32>(sc)?;
+/// Converts a scanned base-10 literal to `F` through the Eisel–Lemire tier
+/// under round-to-nearest-even, recording reader telemetry on success. The
+/// tier answers every literal of at most 19 significant digits. A longer
+/// one was scanned as a 19-digit prefix `w` with a dropped non-zero tail,
+/// which pins its value inside `(w, w+1) × 10^q`: when both ends round to
+/// the same float, every value between them does too (rounding is
+/// monotone) and that float is the answer. Otherwise `None`, and the
+/// caller takes the general parse → exact route. The tier computes the
+/// magnitude; the sign is applied by negating it.
+pub(crate) fn scanned_to_float<F: LemireFloat>(sc: &ScannedDecimal) -> Option<F> {
+    let v = eisel_lemire::<F>(sc.mantissa, sc.exponent);
+    if sc.truncated
+        && v.to_bits_u64() != eisel_lemire::<F>(sc.mantissa + 1, sc.exponent).to_bits_u64()
+    {
+        return None;
+    }
     fpp_telemetry::record_read(ReadPath::EiselLemire);
     Some(if sc.negative { -v } else { v })
 }
 
-/// [`scanned_to_f64`] / [`scanned_to_f32`] for a generic target: `None`
-/// (take the general route) unless `F` is one of the hardware formats.
-pub(crate) fn scanned_to_float<F: FloatFormat>(sc: &ScannedDecimal) -> Option<F> {
+/// [`scanned_to_float`] for a generic target: `None` (take the general
+/// route) unless `F` is one of the hardware formats.
+pub(crate) fn scanned_to_any<F: FloatFormat>(sc: &ScannedDecimal) -> Option<F> {
     if F::PRECISION == 53 && F::MIN_EXP == -1074 {
-        scanned_to_f64(sc).map(reencode::<f64, F>)
+        scanned_to_float::<f64>(sc).map(reencode::<f64, F>)
     } else if F::PRECISION == 24 && F::MIN_EXP == -149 {
-        scanned_to_f32(sc).map(reencode::<f32, F>)
+        scanned_to_float::<f32>(sc).map(reencode::<f32, F>)
     } else {
         None
     }
 }
 
-/// The magnitude of a scanned literal via Eisel–Lemire, including the
-/// truncated-tail bracketing trick: a 19-digit prefix `w` with a dropped
-/// non-zero tail pins the true value inside `(w, w+1) × 10^q`, so when
-/// both endpoints round to the same float, every value between them does
-/// too (rounding is monotone) and that float is the answer. Disagreement —
-/// or a tier rejection — returns `None`.
-fn scanned_eisel_lemire<F: crate::lemire::LemireFloat>(sc: &ScannedDecimal) -> Option<F> {
-    let low = eisel_lemire::<F>(sc.mantissa, sc.exponent)?;
-    if sc.truncated {
-        let high = eisel_lemire::<F>(sc.mantissa + 1, sc.exponent)?;
-        if low.to_bits_u64() != high.to_bits_u64() {
-            return None;
-        }
-    }
-    Some(low)
-}
-
-/// Re-encodes a fast-tier float `H` as the generic target `F`, which the
+/// Re-encodes an Eisel–Lemire float `H` as the generic target `F`, which the
 /// caller has checked has the same format.
 fn reencode<H: FloatFormat, F: FloatFormat>(v: H) -> F {
     debug_assert!(F::PRECISION == H::PRECISION && F::MIN_EXP == H::MIN_EXP);
@@ -139,7 +107,7 @@ fn reencode<H: FloatFormat, F: FloatFormat>(v: H) -> F {
         fpp_float::Decoded::Zero { negative } => F::encode(negative, 0, 0),
         // Eisel–Lemire reports certain overflow as infinity.
         fpp_float::Decoded::Infinite { negative } => F::infinity(negative),
-        fpp_float::Decoded::Nan => unreachable!("fast tiers never produce NaN"),
+        fpp_float::Decoded::Nan => unreachable!("Eisel–Lemire never produces NaN"),
     }
 }
 

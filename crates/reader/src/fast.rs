@@ -5,8 +5,14 @@
 //! representable (|q| ≤ 22), `D × 10^q` incurs exactly one rounding — the
 //! final multiply or divide — so the hardware's round-to-nearest-even gives
 //! the correctly rounded result with no big-integer arithmetic. Gay's
-//! heuristics (cited in §5 of the printing paper) generalize this idea; the
-//! exact path in [`crate::decimal_to_float`] covers everything else.
+//! heuristics (cited in §5 of the printing paper) generalize this idea.
+//!
+//! This is a standalone function, not a tier of the reader. Eisel–Lemire
+//! answers every literal it answers, so trying it first only added a
+//! branch and a division to every read. It stays public because the
+//! benchmark (`perfbench`'s `read_shortest` tier census and its
+//! `reader.clinger` stage) still calls it; once those go, so can this
+//! module.
 
 /// Largest exponent `q` with `10^q` exactly representable in `f64`.
 const MAX_EXACT_POW10: i64 = 22;

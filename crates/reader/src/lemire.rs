@@ -1,19 +1,25 @@
-//! The Eisel–Lemire fast path: correctly rounded `w × 10^q → binary` via
-//! one (sometimes two) 64×128-bit truncated multiplications against a
-//! cached table of 128-bit power-of-five significands.
+//! The Eisel–Lemire tier: correctly rounded `w × 10^q → binary` via one
+//! (sometimes two) 64×128-bit truncated multiplications against a cached
+//! table of 128-bit power-of-five significands.
 //!
-//! Lemire, *Number Parsing at a Gigabyte per Second* (SPE 2021):
-//! approximate the product of the decimal coefficient
-//! with a 128-bit significand of `10^q`, prove from the truncated bits that
-//! rounding cannot be affected by the discarded tail, and otherwise
-//! **reject** — the caller falls back to the exact big-integer reader, so
-//! the composed routine is correctly rounded by construction.
+//! Lemire, *Number Parsing at a Gigabyte per Second* (SPE 2021), rounds
+//! from the truncated product and declines when its low word is saturated
+//! and `5^|q|` does not fit in 128 bits, since the discarded tail could
+//! then carry into the mantissa. Mushtak and Lemire, *Fast Number Parsing
+//! Without Fallback* (SPE 2023), show that the carry never changes the
+//! answer. `tests/theorems.rs` proves it for this table: in exact
+//! arithmetic it finds every saturated product of every `u64` coefficient
+//! and every table exponent (138 for `f64` and 10 for `f32`, none of them
+//! widened) and checks each answer against the exact reader. So the tier
+//! answers every `u64` coefficient. Only a literal of more than 19 digits,
+//! whose `(w, w+1)` bracket the caller checks, can still reach the exact
+//! reader.
 //!
 //! The power-of-five table is the one [`fpp_bignum::pow5`] shares with the
 //! printer's shortest tier: generated at first use from exact big-integer
-//! exponentiation (floor-truncated for `q ≥ 0`, ceiling for `q < 0`,
-//! exactly the convention the uncertainty analysis in DESIGN.md §13
-//! assumes) and cross-checked against exact interval arithmetic there.
+//! exponentiation (floor-truncated for `q ≥ 0`, ceiling for `q < 0`, the
+//! convention Lemire's error analysis assumes) and cross-checked against
+//! exact interval arithmetic there.
 
 use fpp_bignum::pow5;
 use fpp_float::FloatFormat;
@@ -30,7 +36,7 @@ pub(crate) const LARGEST_POWER_OF_TEN: i32 = 308;
 
 /// Format-specific Eisel–Lemire bounds, derived from the IEEE parameters
 /// the same way the reference analysis derives them.
-pub(crate) trait LemireFloat: FloatFormat + Copy {
+pub(crate) trait LemireFloat: FloatFormat + Copy + std::ops::Neg<Output = Self> {
     /// Exponents below this certainly round to zero for this format (with
     /// any `u64` coefficient).
     const SMALLEST_POWER: i32;
@@ -130,19 +136,16 @@ fn compute_product_approx(q: i32, w: u64, precision: u32) -> (u64, u64) {
     (first_lo, first_hi)
 }
 
-/// Attempts the Eisel–Lemire conversion of the non-negative decimal
-/// `w × 10^q` into format `F`, rounding to nearest-even.
-///
-/// Returns `None` when the truncated product cannot certify the rounding —
-/// the caller must fall back to the exact big-integer path. `Some` results
-/// are correctly rounded (the adversarial and differential suites check
-/// this bit-for-bit against the exact reader and `str::parse`).
-pub(crate) fn eisel_lemire<F: LemireFloat>(w: u64, q: i64) -> Option<F> {
+/// The Eisel–Lemire conversion of the non-negative decimal `w × 10^q`
+/// into format `F`, rounded to nearest-even. It answers every `u64`
+/// coefficient (see the module docs); the adversarial and differential
+/// suites check it bit-for-bit against the exact reader and `str::parse`.
+pub(crate) fn eisel_lemire<F: LemireFloat>(w: u64, q: i64) -> F {
     if w == 0 || q < i64::from(F::SMALLEST_POWER) {
-        return Some(F::from_biased(0, 0));
+        return F::from_biased(0, 0);
     }
     if q > i64::from(F::LARGEST_POWER) {
-        return Some(F::infinity(false));
+        return F::infinity(false);
     }
     let q = q as i32;
     let explicit_bits = F::PRECISION as i32 - 1;
@@ -152,25 +155,20 @@ pub(crate) fn eisel_lemire<F: LemireFloat>(w: u64, q: i64) -> Option<F> {
     let lz = w.leading_zeros() as i32;
     let w = w << lz;
     let (lo, hi) = compute_product_approx(q, w, (explicit_bits + 3) as u32);
-    if lo == u64::MAX && !(-27..=55).contains(&q) {
-        // The truncated product is saturated and `5^|q|` does not fit in
-        // 128 bits: the discarded tail could flip the rounding. Reject.
-        return None;
-    }
     let upperbit = (hi >> 63) as i32;
     let mut mantissa = hi >> (upperbit + 64 - explicit_bits - 3);
     let mut power2 = power(q) + upperbit - lz - minimum_exponent;
     if power2 <= 0 {
         // Subnormal range (or complete underflow).
         if -power2 + 1 >= 64 {
-            return Some(F::from_biased(0, 0));
+            return F::from_biased(0, 0);
         }
         mantissa >>= -power2 + 1;
         mantissa += mantissa & 1; // round up on half
         mantissa >>= 1;
         // Rounding can carry back up into the smallest normal.
         let biased = i32::from(mantissa >= (1u64 << explicit_bits));
-        return Some(F::from_biased(mantissa, biased));
+        return F::from_biased(mantissa, biased);
     }
     // Round-to-even correction: if the product is exact (`lo ≤ 1` after a
     // possibly-exact second multiply, within the `q` range where halfway
@@ -192,18 +190,17 @@ pub(crate) fn eisel_lemire<F: LemireFloat>(w: u64, q: i64) -> Option<F> {
         power2 += 1;
     }
     if power2 >= infinite_power {
-        return Some(F::infinity(false));
+        return F::infinity(false);
     }
-    Some(F::from_biased(mantissa, power2))
+    F::from_biased(mantissa, power2)
 }
 
-/// Attempts the Eisel–Lemire fast conversion of `digits × 10^exponent` to
-/// a **non-negative** `f64` under round-to-nearest-even.
+/// The Eisel–Lemire conversion of `digits × 10^exponent` to a
+/// **non-negative** `f64` under round-to-nearest-even.
 ///
-/// Returns `None` when the truncated-product analysis cannot certify the
-/// result; the composed reader ([`crate::read_f64`]) then falls back to
-/// the exact big-integer path, so rejections are a correctness-neutral
-/// performance event (counted as `reader_exact_fallbacks` by telemetry).
+/// Always `Some`: the tier answers every coefficient and exponent (see the
+/// module docs for the proof). The `Option` stays so that callers written
+/// when the tier could decline keep compiling.
 ///
 /// ```
 /// assert_eq!(fpp_reader::eisel_lemire_f64(3, -1), Some(0.3));
@@ -212,19 +209,19 @@ pub(crate) fn eisel_lemire<F: LemireFloat>(w: u64, q: i64) -> Option<F> {
 /// ```
 #[must_use]
 pub fn eisel_lemire_f64(digits: u64, exponent: i64) -> Option<f64> {
-    eisel_lemire::<f64>(digits, exponent)
+    Some(eisel_lemire::<f64>(digits, exponent))
 }
 
-/// Attempts the Eisel–Lemire fast conversion of `digits × 10^exponent` to
-/// a **non-negative** `f32` under round-to-nearest-even (see
-/// [`eisel_lemire_f64`]).
+/// The Eisel–Lemire conversion of `digits × 10^exponent` to a
+/// **non-negative** `f32` under round-to-nearest-even. Always `Some`, as
+/// [`eisel_lemire_f64`].
 ///
 /// ```
 /// assert_eq!(fpp_reader::eisel_lemire_f32(1, -1), Some(0.1f32));
 /// ```
 #[must_use]
 pub fn eisel_lemire_f32(digits: u64, exponent: i64) -> Option<f32> {
-    eisel_lemire::<f32>(digits, exponent)
+    Some(eisel_lemire::<f32>(digits, exponent))
 }
 
 #[cfg(test)]
@@ -245,7 +242,7 @@ mod tests {
             (u64::MAX, 0, 18446744073709551615.0),
         ];
         for &(w, q, expect) in cases {
-            let got = eisel_lemire_f64(w, q).expect("in fast region");
+            let got = eisel_lemire::<f64>(w, q);
             assert_eq!(got.to_bits(), expect.to_bits(), "{w}e{q}");
         }
         // Certain underflow / overflow outside the table range.
@@ -264,7 +261,7 @@ mod tests {
             (1, 39, f32::INFINITY),
         ];
         for &(w, q, expect) in cases {
-            let got = eisel_lemire_f32(w, q).expect("in fast region");
+            let got = eisel_lemire::<f32>(w, q);
             assert_eq!(got.to_bits(), expect.to_bits(), "{w}e{q}");
         }
     }

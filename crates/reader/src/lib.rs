@@ -9,25 +9,27 @@
 //! round-trip guarantee can be verified entirely in-repo (`str::parse::<f64>`
 //! only covers base 10 with round-to-nearest-even).
 //!
-//! A base-10 literal read under round-to-nearest-even takes four tiers in
-//! order, each handing what it cannot certify to the next:
+//! A base-10 literal read under round-to-nearest-even takes three tiers in
+//! order, each handing what it cannot answer to the next:
 //!
 //! 1. **scan** — a `u64` scanner accepts plain decimal literals of at most
 //!    19 significant digits (longer ones are kept as a 19-digit prefix with
 //!    a sticky bit), with no allocation;
-//! 2. **Clinger** — the one-operation path (Gay's observation, cited in §5
-//!    of the printing paper): a short mantissa times an exactly
-//!    representable power of ten;
-//! 3. **Eisel–Lemire** — a 128-bit product with a table of truncated powers
-//!    of five, which either rounds correctly or declines;
-//! 4. **exact** — form the literal as a ratio `D × Bᵠ` of big naturals,
+//! 2. **Eisel–Lemire** — a 128-bit product with a table of truncated powers
+//!    of five, which rounds every `u64` coefficient correctly (Mushtak and
+//!    Lemire's result, proved for this table in `tests/theorems.rs`); a
+//!    longer literal is answered when its prefix `w` and `w + 1` round to
+//!    the same float;
+//! 3. **exact** — form the literal as a ratio `D × Bᵠ` of big naturals,
 //!    locate the unique representable mantissa by scaled division, and
 //!    round with an exact remainder comparison.
 //!
-//! Every other base and rounding mode, and every literal a tier declines,
-//! goes straight to the exact tier. It is one format-generic routine: the
-//! hardware formats are its binary instance, and [`read_soft`] reads into
-//! any [`SoftFormat`] through it.
+//! Every other base and rounding mode, and every literal the scanner
+//! declines or whose bracket disagrees, goes straight to the exact tier. It
+//! is one format-generic routine: the hardware formats are its binary
+//! instance, and [`read_soft`] reads into any [`SoftFormat`] through it.
+//! Clinger's one-operation path ([`fast_path`]) is not a tier: it answers
+//! no literal Eisel–Lemire does not, and stays as a standalone function.
 //!
 //! # Examples
 //!
@@ -110,14 +112,15 @@ pub fn read_float<F: FloatFormat>(
 ) -> Result<F, ParseFloatError> {
     assert!((2..=36).contains(&base), "input base must be in 2..=36");
     // The common case — a plain base-10 literal under the IEEE default
-    // rounding — goes through the u64 scanner and the fast tiers (Clinger,
-    // Eisel–Lemire) without ever touching big-integer accumulation. Any
-    // rejection at any stage falls through to the general parse below; the
-    // scanner accepts a strict subset of `parse_literal`'s grammar, so no
-    // input changes between Ok and Err by taking this route.
+    // rounding — goes through the u64 scanner and Eisel–Lemire without
+    // ever touching big-integer accumulation. A literal the scanner
+    // declines, or a long one whose bracket disagrees, falls through to the
+    // general parse below; the scanner accepts a strict subset of
+    // `parse_literal`'s grammar, so no input changes between Ok and Err by
+    // taking this route.
     if base == 10 && matches!(rounding, RoundingMode::NearestEven) {
         if let Some(v) =
-            scan::scan_decimal(s.as_bytes()).and_then(|sc| convert::scanned_to_float::<F>(&sc))
+            scan::scan_decimal(s.as_bytes()).and_then(|sc| convert::scanned_to_any::<F>(&sc))
         {
             return Ok(v);
         }
@@ -127,8 +130,9 @@ pub fn read_float<F: FloatFormat>(
 }
 
 /// The general base-10, round-to-nearest-even route for literals the fast
-/// tiers decline (special words, `#` marks, tier rejections) and the one
-/// that reports malformed input: parse into big-integer form, then convert.
+/// tiers decline (special words, `#` marks, long literals whose bracket
+/// disagrees) and the one that reports malformed input: parse into
+/// big-integer form, then convert.
 pub(crate) fn read_general<F: FloatFormat>(s: &str) -> Result<F, ParseFloatError> {
     let literal = parse_literal(s, 10)?;
     Ok(decimal_to_float::<F>(
@@ -138,12 +142,15 @@ pub(crate) fn read_general<F: FloatFormat>(s: &str) -> Result<F, ParseFloatError
     ))
 }
 
-/// Reads an `f64` through the fast tiers **only** (scan → Clinger →
-/// Eisel–Lemire), never allocating and never running big-integer
-/// arithmetic. Returns `None` when the literal is outside the fast grammar
-/// or no tier can certify the rounding — exactly the cases
-/// [`read_f64`] hands to the exact fallback. Intended for acceptance-rate
-/// audits and benches; `Some` results are bit-identical to [`read_f64`].
+/// Reads an `f64` through the fast tiers **only** (scan → Eisel–Lemire),
+/// never allocating and never running big-integer arithmetic. Returns
+/// `None` only when the scanner declines the literal (special words, `#`
+/// marks, other spellings outside its grammar, malformed input) or when a
+/// literal of more than 19 significant digits has a `(w, w+1)` bracket
+/// that rounds to two floats — exactly the cases [`read_f64`] hands to the
+/// exact fallback. Every scanned literal of at most 19 significant digits
+/// gets `Some`. Intended for acceptance-rate audits and benches; `Some`
+/// results are bit-identical to [`read_f64`].
 #[must_use]
 pub fn read_f64_fast(s: &str) -> Option<f64> {
     read_f64_fast_bytes(s.as_bytes())
@@ -152,13 +159,13 @@ pub fn read_f64_fast(s: &str) -> Option<f64> {
 /// [`read_f64_fast`] over raw bytes: the scanner accepts only ASCII, so
 /// callers holding unchecked bytes need no UTF-8 validation for a `Some`.
 pub(crate) fn read_f64_fast_bytes(bytes: &[u8]) -> Option<f64> {
-    convert::scanned_to_f64(&scan::scan_decimal(bytes)?)
+    convert::scanned_to_float(&scan::scan_decimal(bytes)?)
 }
 
 /// `f32` counterpart of [`read_f64_fast`].
 #[must_use]
 pub fn read_f32_fast(s: &str) -> Option<f32> {
-    convert::scanned_to_f32(&scan::scan_decimal(s.as_bytes())?)
+    convert::scanned_to_float(&scan::scan_decimal(s.as_bytes())?)
 }
 
 /// Reads an `f64` through the exact big-integer path **only**, skipping

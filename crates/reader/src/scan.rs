@@ -1,9 +1,9 @@
-//! The base-10 scanner feeding the fast conversion tiers.
+//! The base-10 scanner feeding the Eisel–Lemire tier.
 //!
 //! [`crate::parse_literal`] accumulates the coefficient into a [`fpp_bignum::Nat`]
-//! because it serves every base and arbitrarily long literals. The fast
-//! tiers (Clinger, Eisel–Lemire) only ever consume a `u64` coefficient, so
-//! routing their common case through big-integer accumulation would throw
+//! because it serves every base and arbitrarily long literals. Eisel–Lemire
+//! only ever consumes a `u64` coefficient, and answers every one of them,
+//! so routing its common case through big-integer accumulation would throw
 //! away most of the speedup. This scanner keeps at most 19 significant
 //! digits in a `u64` (19 digits is the largest count that can never
 //! overflow: `10^19 − 1 < 2^64`) and tracks whether — and how — the tail

@@ -151,9 +151,6 @@ metric_enum! {
         BatchStitchBytes => "batch_stitch_bytes",
         /// Finite literals converted by the reader.
         ReaderReads => "reader_reads",
-        /// Reads answered by Clinger's exact floating-point fast path
-        /// (one hardware multiply or divide).
-        ReaderFastPathHits => "reader_fast_path_hits",
         /// Reads answered by the Eisel–Lemire truncated-product path
         /// (64×128-bit multiply against the cached power-of-five table).
         ReaderEiselLemireHits => "reader_eisel_lemire_hits",
@@ -535,8 +532,6 @@ pub fn record_stitch_bytes(bytes: usize) {
 /// reader tries them in this order).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReadPath {
-    /// Clinger's fast path: one exact hardware multiply or divide.
-    FastPath,
     /// The Eisel–Lemire truncated 64×128-bit product.
     EiselLemire,
     /// The exact big-integer fallback.
@@ -549,7 +544,6 @@ pub fn record_read(path: ReadPath) {
     imp::add(Counter::ReaderReads, 1);
     imp::add(
         match path {
-            ReadPath::FastPath => Counter::ReaderFastPathHits,
             ReadPath::EiselLemire => Counter::ReaderEiselLemireHits,
             ReadPath::Exact => Counter::ReaderExactFallbacks,
         },
@@ -663,12 +657,12 @@ impl TelemetrySnapshot {
         )
     }
 
-    /// Fraction of finite reads answered without big-integer work (Clinger
-    /// or Eisel–Lemire; 0 when no reads were recorded).
+    /// Fraction of finite reads Eisel–Lemire answered without big-integer
+    /// work (0 when no reads were recorded).
     #[must_use]
     pub fn reader_fastpath_rate(&self) -> f64 {
         ratio(
-            self.get(Counter::ReaderFastPathHits) + self.get(Counter::ReaderEiselLemireHits),
+            self.get(Counter::ReaderEiselLemireHits),
             self.get(Counter::ReaderReads),
         )
     }
@@ -902,7 +896,7 @@ mod tests {
                 record_scratch_put(4, 128);
                 record_fastpath(true);
                 record_shard(4096);
-                record_read(ReadPath::FastPath);
+                record_read(ReadPath::EiselLemire);
                 record_parse_batch(16);
                 record_parse_batch_sharded(4, 100_000);
             }

@@ -230,8 +230,8 @@ fn live_counters_agree_with_offline_recount() {
         "shard histogram mass equals shard count"
     );
 
-    // Reader wiring: a short literal takes Clinger's fast path, a
-    // 20-significant-digit one is answered by Eisel–Lemire, and the exact
+    // Reader wiring: a short literal and a 20-significant-digit one are
+    // both answered by Eisel–Lemire, and the exact
     // 53-digit decimal expansion of 1 + 2^-53 (a tie whose tail extends
     // past the 19-digit scan window, so the w/w+1 bracket straddles the
     // halfway point) falls back to exact big-integer conversion.
@@ -242,9 +242,13 @@ fn live_counters_agree_with_offline_recount() {
     assert_eq!(fpp::reader::read_f64(tie).unwrap(), 1.0, "ties to even");
     let snap = TelemetrySnapshot::capture();
     assert_eq!(snap.get(Counter::ReaderReads), 3);
-    assert_eq!(snap.get(Counter::ReaderFastPathHits), 1);
-    assert_eq!(snap.get(Counter::ReaderEiselLemireHits), 1);
+    assert_eq!(snap.get(Counter::ReaderEiselLemireHits), 2);
     assert_eq!(snap.get(Counter::ReaderExactFallbacks), 1);
+    assert_eq!(
+        snap.get(Counter::ReaderEiselLemireHits) + snap.get(Counter::ReaderExactFallbacks),
+        snap.get(Counter::ReaderReads),
+        "the two reader tiers partition the reads"
+    );
     assert!((snap.reader_fastpath_rate() - 2.0 / 3.0).abs() < 1e-12);
 
     // Bulk-parse wiring: serial and sharded calls report batch counters.

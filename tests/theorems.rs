@@ -22,6 +22,7 @@ use common::{digits_value, toy_cases};
 use fpp::bignum::{pow5, Nat, Rat};
 use fpp::core::{free_format_digits, with_thread_powers, Digits, ScalingStrategy, TieBreak};
 use fpp::float::{FloatFormat, Neighbors, RoundingMode, SoftFloat};
+use fpp::reader::{eisel_lemire_f32, eisel_lemire_f64, read_f32_exact, read_f64_exact};
 use fpp::testgen::prng::Xoshiro256pp;
 use fpp::testgen::{special_values, uniform_bit_doubles};
 use std::cmp::Ordering;
@@ -434,4 +435,116 @@ fn one_product_decision_is_exact_for_every_f64_exponent() {
             assert_eq!(Nat::from(round_y), y, "q = {q}, p = {p}: rounded value");
         }
     }
+}
+
+/// Every `w ∈ [2^63, 2^64)` with `w·c mod 2^bits ≥ 2^bits − window`, for
+/// `c > 0`, `64 ≤ bits ≤ 128` and `window` a power of two no larger than
+/// `2^64`.
+///
+/// With `c = 2^s·c'` for odd `c'`, the residue is `2^s` times that of
+/// `w·c'` modulo `m = 2^(bits − s)`, so the condition reads `0 < w·(m −
+/// c') mod m ≤ window/2^s`, a small-residue search. Below `window/2^s = 1`
+/// no `w` qualifies.
+fn high_residues(c: &Nat, bits: u32, window: &Nat) -> Vec<u64> {
+    let s = u32::try_from(c.trailing_zeros().expect("c > 0")).expect("small");
+    let below = &(window >> s) + &Nat::one();
+    if below.is_one() {
+        return Vec::new();
+    }
+    let m = &Nat::one() << (bits - s);
+    let a = &m - &(&(c >> s) % &m);
+    let mut ws = Vec::new();
+    small_residues(&a, &m, u64::MAX, &below, &mut ws);
+    ws.retain(|&w| w >> 63 == 1);
+    ws
+}
+
+/// The Eisel–Lemire product of the normalized `w` with the table entry
+/// `M = M_hi·2^64 + M_lo` of `10^q`, as the reader forms it: the 128-bit
+/// `w·M_hi`, widened by `⌊w·M_lo/2^64⌋` when the high word's bits below
+/// `precision` are all ones. Returns `(lo, hi, widened)`.
+fn lemire_product(q: i32, w: u64, precision: u32) -> (u64, u64, bool) {
+    let entry = pow5::entry(q);
+    let mask = u64::MAX >> precision;
+    let first = u128::from(w) * u128::from(entry.hi);
+    let widened = (first >> 64) as u64 & mask == mask;
+    let product = if widened {
+        first + ((u128::from(w) * u128::from(entry.lo)) >> 64)
+    } else {
+        first
+    };
+    (product as u64, (product >> 64) as u64, widened)
+}
+
+/// Every `(w, q)` for which the reader's product has a saturated low word
+/// (`lo = 2^64 − 1`) while `5^|q|` does not fit in 128 bits (`q` outside
+/// `[−27, 55]`), for `q` in `qs` and every normalized `w ∈ [2^63, 2^64)`,
+/// each with whether the product was widened.
+///
+/// Unwidened, `lo = w·M_hi mod 2^64`, so `w·M_hi mod 2^64 ≥ 2^64 − 1`.
+/// Widened, `lo = ⌊w·M/2^64⌋ mod 2^64`, so `w·M mod 2^128 ≥ 2^128 −
+/// 2^64`. Each search over-approximates its case; the product then decides
+/// which case the found `w` is in.
+fn saturated_products(qs: std::ops::RangeInclusive<i32>, precision: u32) -> Vec<(u64, i32, bool)> {
+    let mut found = Vec::new();
+    for q in qs.filter(|q| !(-27..=55).contains(q)) {
+        let entry = pow5::entry(q);
+        let one = high_residues(&Nat::from(entry.hi), 64, &Nat::one());
+        let wide = high_residues(&Nat::from(entry.as_u128()), 128, &(&Nat::one() << 64));
+        for (ws, widened) in [(one, false), (wide, true)] {
+            for w in ws {
+                let (lo, _, took) = lemire_product(q, w, precision);
+                if took == widened {
+                    assert_eq!(lo, u64::MAX, "q = {q}, w = {w}: not saturated");
+                    found.push((w, q, widened));
+                }
+            }
+        }
+    }
+    found
+}
+
+/// Eisel–Lemire needs no reject for a saturated product.
+///
+/// Lemire's reader declined `w·10^q` whenever the low word of its
+/// truncated product was all ones and `5^|q|` did not fit in 128 bits,
+/// since the discarded tail could then carry into the mantissa. Mushtak
+/// and Lemire (*Fast Number Parsing Without Fallback*) show the carry
+/// never changes the answer. This test finds, in exact arithmetic, every
+/// normalized coefficient `w ∈ [2^63, 2^64)` and every table exponent of
+/// `f64` (`q ∈ [−342, 308]`) and `f32` (`q ∈ [−65, 38]`) for which the
+/// product saturates, in both the one-product and the widened case. Every
+/// `u64` coefficient normalizes to one of them, so each `w >> s` with `s`
+/// up to the trailing zeros of `w` is read too, and each answer must
+/// match the exact reader's.
+#[test]
+fn eisel_lemire_needs_no_saturated_product_reject() {
+    let f64s = saturated_products(-342..=308, 55);
+    let f32s = saturated_products(-65..=38, 26);
+    let spellings = |w: u64| (0..=w.trailing_zeros()).map(move |s| w >> s);
+    for &(w, q, _) in &f64s {
+        for w in spellings(w) {
+            let exact = read_f64_exact(&format!("{w}e{q}")).unwrap();
+            let got = eisel_lemire_f64(w, i64::from(q)).map(f64::to_bits);
+            assert_eq!(got, Some(exact.to_bits()), "f64: {w}e{q}");
+        }
+    }
+    for &(w, q, _) in &f32s {
+        for w in spellings(w) {
+            let exact = read_f32_exact(&format!("{w}e{q}")).unwrap();
+            let got = eisel_lemire_f32(w, i64::from(q)).map(f32::to_bits);
+            assert_eq!(got, Some(exact.to_bits()), "f32: {w}e{q}");
+        }
+    }
+    let count = |found: &[(u64, i32, bool)], widened: bool| {
+        found.iter().filter(|&&(.., wide)| wide == widened).count()
+    };
+    assert_eq!(
+        [
+            (count(&f64s, false), count(&f64s, true)),
+            (count(&f32s, false), count(&f32s, true)),
+        ],
+        [(138, 0), (10, 0)],
+        "saturated products changed: (one product, widened) for f64, f32"
+    );
 }
