@@ -7,9 +7,9 @@
 //! the correctly rounded result with no big-integer arithmetic. Gay's
 //! heuristics (cited in §5 of the printing paper) generalize this idea.
 //!
-//! This is a standalone function, not a tier of the reader. Eisel–Lemire
-//! answers every literal it answers, so trying it first only added a
-//! branch and a division to every read. It stays public because the
+//! This is a standalone function, not a tier of the reader: Eisel–Lemire
+//! answers every literal it answers, with the same bits, so in the chain
+//! it added only a test to every read. It stays public because the
 //! benchmark (`perfbench`'s `read_shortest` tier census and its
 //! `reader.clinger` stage) still calls it; once those go, so can this
 //! module.

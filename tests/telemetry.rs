@@ -231,10 +231,10 @@ fn live_counters_agree_with_offline_recount() {
     );
 
     // Reader wiring: a short literal and a 20-significant-digit one are
-    // both answered by Eisel–Lemire, and the exact
-    // 53-digit decimal expansion of 1 + 2^-53 (a tie whose tail extends
-    // past the 19-digit scan window, so the w/w+1 bracket straddles the
-    // halfway point) falls back to exact big-integer conversion.
+    // both answered by Eisel–Lemire, and the exact 53-digit decimal
+    // expansion of 1 + 2^-53 (a tie whose tail extends past the 19-digit
+    // scan window, so the w/w+1 bracket straddles the halfway point) falls
+    // back to exact big-integer conversion.
     telemetry::reset();
     assert_eq!(fpp::reader::read_f64("0.5").unwrap(), 0.5);
     let _ = fpp::reader::read_f64("1.2345678901234567890e-300").unwrap();
