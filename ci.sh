@@ -95,4 +95,12 @@ for w in print_uniform print_repeat print_fixed read_shortest; do
     --workload "$w" --seed 1 --seconds 1 --trace 0
 done
 
+echo "== benchmark: 1-second traced run of each workload =="
+# --trace 1 adds the per-layer stages, perfbench's only callers of
+# FreeFormat::try_write_fast and render_into; no untraced run reaches them.
+for w in print_uniform print_repeat print_fixed read_shortest; do
+  cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload "$w" --seed 1 --seconds 1 --trace 1
+done
+
 echo "CI OK"

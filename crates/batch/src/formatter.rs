@@ -1,14 +1,15 @@
 //! The batch engine itself: a [`BatchFormatter`] owning every piece of
 //! reusable state one column conversion needs.
 //!
-//! The formatter holds one warm [`DtoaContext`] and a pool of shard
-//! workers, each with its own context. Formatting a slice walks it once,
-//! writing each value through the shortest tier straight into the arena.
-//! After a first warming batch, none of this touches the allocator
-//! (asserted by the root crate's `alloc_count` test).
+//! The batch recipe is always answered by the shortest tier, which keeps
+//! no state, so the formatter holds no conversion context: only a pool of
+//! shard output segments. Formatting a slice walks it once, writing each
+//! value through the tier straight into the arena. After a first batch has
+//! grown the arenas, none of this touches the allocator (asserted by the
+//! root crate's `alloc_count` test).
 
 use crate::output::BatchOutput;
-use fpp_core::{DtoaContext, FreeFormat};
+use fpp_core::{DigitSink, FreeFormat};
 use fpp_float::FloatFormat;
 
 /// Tuning knobs for a [`BatchFormatter`].
@@ -67,9 +68,9 @@ pub struct BatchFormatter {
     /// The fixed conversion recipe: shortest round-tripping base-10 text,
     /// exactly [`fpp_core::print_shortest`]'s configuration.
     format: FreeFormat,
-    ctx: DtoaContext,
     opts: BatchOptions,
-    workers: Vec<ShardWorker>,
+    /// One output segment per shard, retained across batches.
+    shards: Vec<BatchOutput>,
 }
 
 impl Default for BatchFormatter {
@@ -85,16 +86,13 @@ impl BatchFormatter {
         BatchFormatter::with_options(BatchOptions::default())
     }
 
-    /// Creates a formatter with explicit tuning options.
+    /// Creates a formatter with explicit tuning options. Allocates nothing.
     #[must_use]
     pub fn with_options(opts: BatchOptions) -> Self {
-        let mut ctx = DtoaContext::new(10);
-        ctx.warm_up();
         BatchFormatter {
             format: FreeFormat::new(),
-            ctx,
             opts,
-            workers: Vec::new(),
+            shards: Vec::new(),
         }
     }
 
@@ -108,7 +106,7 @@ impl BatchFormatter {
     /// (see [`BatchOutput`]); split such a column into several batches.
     pub fn format_f64s(&mut self, values: &[f64], out: &mut BatchOutput) {
         fpp_telemetry::record_serial_batch();
-        format_slice(&self.format, &mut self.ctx, values, out);
+        format_slice(&self.format, values, out);
     }
 
     /// Formats a column of `f32`s into `out` (cleared first), using `f32`
@@ -121,14 +119,14 @@ impl BatchFormatter {
     /// (see [`BatchOutput`]); split such a column into several batches.
     pub fn format_f32s(&mut self, values: &[f32], out: &mut BatchOutput) {
         fpp_telemetry::record_serial_batch();
-        format_slice(&self.format, &mut self.ctx, values, out);
+        format_slice(&self.format, values, out);
     }
 
     /// Formats one value into any sink — the building block of the
     /// serializer frontends, and useful for interleaving single values with
-    /// batches without losing the warm state.
-    pub fn format_one_f64(&mut self, v: f64, sink: &mut impl fpp_core::DigitSink) {
-        self.format.write_to(&mut self.ctx, sink, v);
+    /// batches.
+    pub fn format_one_f64(&mut self, v: f64, sink: &mut impl DigitSink) {
+        write_value(&self.format, sink, v);
     }
 
     /// Counters of the retired repeat-value memo: all zero, since the
@@ -148,47 +146,32 @@ impl BatchFormatter {
 
 /// The shared per-slice conversion loop: each value goes through the
 /// shortest tier straight into the arena, then its entry is sealed.
-fn format_slice<F: FloatFormat>(
-    format: &FreeFormat,
-    ctx: &mut DtoaContext,
-    values: &[F],
-    out: &mut BatchOutput,
-) {
+fn format_slice<F: FloatFormat>(format: &FreeFormat, values: &[F], out: &mut BatchOutput) {
     out.begin();
     for &v in values {
-        format.write_to(ctx, out.sink(), v);
+        write_value(format, out.sink(), v);
         out.seal();
     }
 }
 
-/// One shard's private working set: a context and an output segment,
-/// both retained across batches so the steady state allocates nothing
-/// inside the workers either.
-#[derive(Debug)]
-struct ShardWorker {
-    ctx: DtoaContext,
-    out: BatchOutput,
-}
-
-impl ShardWorker {
-    fn new() -> Self {
-        let mut ctx = DtoaContext::new(10);
-        ctx.warm_up();
-        ShardWorker {
-            ctx,
-            out: BatchOutput::new(),
-        }
-    }
+/// Writes one value through the shortest tier. The batch recipe (base 10,
+/// the estimate scaler, nearest-even reading, `f64` or `f32`) is one the
+/// tier serves for every value, so it never declines.
+fn write_value<F: FloatFormat>(format: &FreeFormat, sink: &mut impl DigitSink, v: F) {
+    assert!(
+        format.try_write(sink, v),
+        "the shortest tier answers every value of the batch recipe"
+    );
 }
 
 impl BatchFormatter {
     /// Formats a column of `f64`s into `out` across shard threads.
     ///
     /// The input is split into contiguous chunks, one per shard; each
-    /// shard converts its chunk into a private arena with a private
-    /// context, and the segments are stitched back in input
-    /// order — so the output is byte-identical to [`Self::format_f64s`]
-    /// regardless of thread count, including on a single-core host.
+    /// shard converts its chunk into a private arena, and the segments are
+    /// stitched back in input order — so the output is byte-identical to
+    /// [`Self::format_f64s`] regardless of thread count, including on a
+    /// single-core host.
     /// Inputs shorter than twice [`BatchOptions::min_shard_len`] take
     /// the serial path unchanged.
     ///
@@ -197,9 +180,7 @@ impl BatchFormatter {
     /// Panics if `out`'s arena grows past the 4 GiB `u32` offset range
     /// (see [`BatchOutput`]); split such a column into several batches.
     pub fn format_f64s_sharded(&mut self, values: &[f64], out: &mut BatchOutput) {
-        self.format_sharded(values, out, |w, format, chunk| {
-            format_slice(format, &mut w.ctx, chunk, &mut w.out);
-        });
+        self.format_sharded(values, out);
     }
 
     /// Formats a column of `f32`s into `out` across shard threads (see
@@ -210,9 +191,7 @@ impl BatchFormatter {
     /// Panics if `out`'s arena grows past the 4 GiB `u32` offset range
     /// (see [`BatchOutput`]); split such a column into several batches.
     pub fn format_f32s_sharded(&mut self, values: &[f32], out: &mut BatchOutput) {
-        self.format_sharded(values, out, |w, format, chunk| {
-            format_slice(format, &mut w.ctx, chunk, &mut w.out);
-        });
+        self.format_sharded(values, out);
     }
 
     /// Shard count for an input of `len` values: bounded by the thread
@@ -226,29 +205,27 @@ impl BatchFormatter {
         budget.max(1).min(fed.max(1))
     }
 
-    fn format_sharded<F: Copy + Send + Sync>(
+    fn format_sharded<F: FloatFormat + Send + Sync>(
         &mut self,
         values: &[F],
         out: &mut BatchOutput,
-        run: impl Fn(&mut ShardWorker, &FreeFormat, &[F]) + Send + Sync,
     ) {
         let shards = self.shard_count(values.len());
         let chunk_len = values.len().div_ceil(shards.max(1)).max(1);
         let used = values.len().div_ceil(chunk_len.max(1)).max(1);
-        while self.workers.len() < used {
-            self.workers.push(ShardWorker::new());
+        if self.shards.len() < used {
+            self.shards.resize_with(used, BatchOutput::new);
         }
         fpp_telemetry::record_sharded_batch(used);
         let format = &self.format;
-        let workers = &mut self.workers[..used];
+        let segments = &mut self.shards[..used];
         if used == 1 {
             // One shard: run inline, skipping thread spawn entirely.
             fpp_telemetry::record_shard(values.len());
-            run(&mut workers[0], format, values);
+            format_slice(format, values, &mut segments[0]);
         } else {
             std::thread::scope(|scope| {
-                for (worker, chunk) in workers.iter_mut().zip(values.chunks(chunk_len)) {
-                    let run = &run;
+                for (segment, chunk) in segments.iter_mut().zip(values.chunks(chunk_len)) {
                     scope.spawn(move || {
                         // Each worker reports into its own thread-local
                         // telemetry block; the explicit flush drains it
@@ -256,15 +233,15 @@ impl BatchFormatter {
                         // unblocks (TLS destructors alone can race the
                         // scope exit).
                         fpp_telemetry::record_shard(chunk.len());
-                        run(worker, format, chunk);
+                        format_slice(format, chunk, segment);
                         fpp_telemetry::flush_thread();
                     });
                 }
             });
         }
         out.begin();
-        for worker in self.workers[..used].iter() {
-            out.append_shifted(&worker.out);
+        for segment in &self.shards[..used] {
+            out.append_shifted(segment);
         }
         fpp_telemetry::record_stitch_bytes(out.total_bytes());
     }
@@ -309,6 +286,66 @@ mod tests {
         let mut out64 = BatchOutput::new();
         fmt.format_f64s(&[alias], &mut out64);
         assert_eq!(out64.get(0), fpp_core::print_shortest(alias));
+    }
+
+    /// The batch engine asserts that the shortest tier answers every value
+    /// of its recipe; specials, subnormals and both widths' extremes are
+    /// where a declining tier would show, so each goes through the tier,
+    /// the batch paths and the exact engine, with the same bytes.
+    #[test]
+    fn the_tier_answers_every_extreme() {
+        let f64s = [
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            0.0,
+            -0.0,
+            5e-324,
+            -5e-324,
+            f64::from_bits((1 << 52) - 1), // largest subnormal
+            f64::MIN_POSITIVE,
+            f64::MAX,
+            f64::MIN,
+        ];
+        let f32s = [
+            f32::NAN,
+            f32::NEG_INFINITY,
+            -0.0,
+            f32::from_bits(1),
+            f32::from_bits((1 << 23) - 1),
+            f32::MIN_POSITIVE,
+            f32::MAX,
+            f32::MIN,
+        ];
+        let mut fmt = BatchFormatter::with_options(BatchOptions {
+            threads: Some(2),
+            min_shard_len: 2,
+        });
+        let exact = FreeFormat::new().fast_path(false);
+        let mut ctx = fpp_core::DtoaContext::new(10);
+        let (mut out, mut sharded) = (BatchOutput::new(), BatchOutput::new());
+        fmt.format_f64s(&f64s, &mut out);
+        fmt.format_f64s_sharded(&f64s, &mut sharded);
+        for (i, &v) in f64s.iter().enumerate() {
+            let mut tier = Vec::new();
+            assert!(fmt.format.try_write(&mut tier, v), "{v:e}");
+            let mut oracle = Vec::new();
+            exact.write_to(&mut ctx, &mut oracle, v);
+            assert_eq!(tier, oracle, "{v:e}");
+            assert_eq!(out.get(i).as_bytes(), oracle, "{v:e}");
+            assert_eq!(sharded.get(i).as_bytes(), oracle, "{v:e}");
+        }
+        fmt.format_f32s(&f32s, &mut out);
+        fmt.format_f32s_sharded(&f32s, &mut sharded);
+        for (i, &v) in f32s.iter().enumerate() {
+            let mut tier = Vec::new();
+            assert!(fmt.format.try_write(&mut tier, v), "{v:e}");
+            let mut oracle = Vec::new();
+            exact.write_to(&mut ctx, &mut oracle, v);
+            assert_eq!(tier, oracle, "{v:e}");
+            assert_eq!(out.get(i).as_bytes(), oracle, "{v:e}");
+            assert_eq!(sharded.get(i).as_bytes(), oracle, "{v:e}");
+        }
     }
 
     #[test]

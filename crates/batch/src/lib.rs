@@ -7,19 +7,21 @@
 //! parsing work, the Gareau–Lemire shortest-decimal review) measures:
 //! conversion as an array-to-array problem, reported in floats/s and MB/s.
 //!
-//! Two mechanisms carry the throughput, on top of the shortest tier that
-//! answers every value with `u64` arithmetic:
+//! Two mechanisms carry the throughput:
 //!
-//! 1. **Context reuse** — every shard owns one warm [`fpp_core::DtoaContext`]
-//!    (power table, big-integer registers, scratch pool, digit buffer), so
-//!    steady-state conversion performs zero heap allocations.
+//! 1. **A stateless tier** — the shortest tier answers every value of the
+//!    batch recipe with `u64` arithmetic through
+//!    [`fpp_core::FreeFormat::try_write`], so the engine holds no
+//!    conversion context, for itself or any shard, and building one
+//!    allocates nothing. Steady-state conversion performs zero heap
+//!    allocations.
 //! 2. **Columnar output** — all texts land back-to-back in one
 //!    [`BatchOutput`] arena with a `u32` offsets table, instead of a
 //!    million `String`s.
 //!
 //! [`BatchFormatter::format_f64s_sharded`] splits the input into
 //! cache-friendly chunks across scoped threads — each shard with its own
-//! context — and stitches the segments back in input order, so output is
+//! output segment — and stitches the segments back in input order, so output is
 //! **deterministic and byte-identical to the serial path** at any thread
 //! count.
 //!

@@ -44,13 +44,11 @@ mod nat;
 pub mod pow5;
 mod power_table;
 mod rational;
-mod scratch;
 
 pub use int::{Int, Sign};
 pub use nat::{Nat, ParseNatError};
 pub use power_table::PowerTable;
 pub use rational::Rat;
-pub use scratch::Scratch;
 
 /// The machine word used for one digit ("limb") of a [`Nat`].
 pub type Limb = u64;

@@ -96,10 +96,8 @@ impl Nat {
 
     /// Number of limbs the backing buffer can hold without reallocating.
     ///
-    /// This is a property of the buffer, not the value; [`Scratch`] uses it
-    /// to hand the roomiest recycled buffer to each taker.
-    ///
-    /// [`Scratch`]: crate::Scratch
+    /// This is a property of the buffer, not the value: a recycled register
+    /// keeps its capacity across values.
     #[must_use]
     pub fn limb_capacity(&self) -> usize {
         self.limbs.capacity()

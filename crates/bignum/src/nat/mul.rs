@@ -161,24 +161,6 @@ impl Nat {
         mul_schoolbook_into(&self.limbs, &rhs.limbs, &mut out.limbs);
         out.normalize();
     }
-
-    /// Multiplies `self` by `rhs` in place, borrowing a buffer from
-    /// `scratch` for the product so that a warmed-up pool makes the
-    /// operation allocation-free.
-    ///
-    /// ```
-    /// use fpp_bignum::{Nat, Scratch};
-    /// let mut scratch = Scratch::new();
-    /// let mut a = Nat::from(3u64);
-    /// a.mul_assign_with(&Nat::from(7u64), &mut scratch);
-    /// assert_eq!(a, Nat::from(21u64));
-    /// ```
-    pub fn mul_assign_with(&mut self, rhs: &Nat, scratch: &mut crate::Scratch) {
-        let mut out = scratch.take();
-        self.mul_into(rhs, &mut out);
-        std::mem::swap(self, &mut out);
-        scratch.put(out);
-    }
 }
 
 impl Mul<&Nat> for &Nat {
@@ -320,16 +302,6 @@ mod tests {
         let mut out = Nat::zero();
         a.mul_into(&b, &mut out);
         assert_eq!(out, &a * &b);
-    }
-
-    #[test]
-    fn mul_assign_with_recycles_scratch() {
-        let mut scratch = crate::Scratch::new();
-        let mut a = Nat::from(u64::MAX);
-        let b = Nat::from(u64::MAX);
-        a.mul_assign_with(&b, &mut scratch);
-        assert_eq!(a, &Nat::from(u64::MAX) * &Nat::from(u64::MAX));
-        assert_eq!(scratch.len(), 1);
     }
 
     #[test]

@@ -108,21 +108,18 @@ impl PowerTable {
         n.mul_into(self.pow(exp), out);
     }
 
-    /// Multiplies `n` in place by `base^exp`, borrowing a product buffer
-    /// from `scratch` so the warmed-up pipeline performs no allocation.
-    pub fn scale_assign(&mut self, n: &mut Nat, exp: u32, scratch: &mut crate::Scratch) {
+    /// Multiplies `n` in place by `base^exp`, with `tmp` as the product
+    /// register: once both have grown to their high-water marks the
+    /// operation performs no allocation. `tmp` is left holding the product.
+    pub fn scale_assign(&mut self, n: &mut Nat, exp: u32, tmp: &mut Nat) {
         if exp == 0 {
             return;
         }
-        let mut out = scratch.take();
-        self.scale_into(&*n, exp, &mut out);
-        // Copy rather than swap: swapping would trade `n`'s (large, warmed)
-        // buffer into the scratch pool for whatever-sized one `take`
-        // returned, and that capacity churn makes steady-state allocation
-        // behavior depend on pool LIFO order. A copy keeps every buffer at
-        // its high-water mark, so the warmed pipeline never reallocates.
-        n.assign(&out);
-        scratch.put(out);
+        self.scale_into(&*n, exp, tmp);
+        // Copy rather than swap: a swap would trade `n`'s buffer for `tmp`'s,
+        // and every register must keep the capacity it grew to, or a warm
+        // pipeline would regrow whichever one received the smaller buffer.
+        n.assign(tmp);
     }
 
     fn grow_to(&mut self, exp: usize) {
@@ -171,13 +168,12 @@ mod tests {
         t.scale_into(&n, 0, &mut out);
         assert_eq!(out, n);
 
-        let mut scratch = crate::Scratch::new();
+        let mut tmp = Nat::zero();
         let mut m = Nat::from(7u64);
-        t.scale_assign(&mut m, 3, &mut scratch);
+        t.scale_assign(&mut m, 3, &mut tmp);
         assert_eq!(m, Nat::from(7000u64));
-        t.scale_assign(&mut m, 0, &mut scratch);
+        t.scale_assign(&mut m, 0, &mut tmp);
         assert_eq!(m, Nat::from(7000u64));
-        assert_eq!(scratch.len(), 1);
     }
 
     #[test]

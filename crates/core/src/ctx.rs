@@ -1,25 +1,28 @@
-//! Reusable conversion state: one [`DtoaContext`] per output base.
+//! Reusable state of the exact engine: one [`DtoaContext`] per output base.
 //!
-//! Every conversion needs the same working set — a memoised power table, the
-//! four big-integer registers of Table 1, a sum buffer for the termination
-//! test, scratch limb buffers for products, and a digit vector. Allocating
-//! these per call makes the allocator the bottleneck; a `DtoaContext` owns
-//! them all and is borrowed by the `write_*` entry points, so after a warm-up
-//! call the whole pipeline runs with zero steady-state heap allocation
-//! (proved by the `alloc_count` regression test).
+//! Every exact Burger–Dybvig conversion needs the same working set — a
+//! memoised power table, the four big-integer registers of Table 1, a sum
+//! register for the termination test, a product register, and a digit
+//! vector. Allocating these per call makes the allocator the bottleneck; a
+//! `DtoaContext` owns them all and is borrowed by the `write_*` entry
+//! points, so after a warm-up call the exact engine runs with zero
+//! steady-state heap allocation (proved by the `alloc_count` regression
+//! test). The `u64` tiers keep no state, so a conversion they answer never
+//! touches the context.
 
 use crate::scale::InitialState;
-use fpp_bignum::{Nat, PowerTable, Scratch};
+use fpp_bignum::{Nat, PowerTable};
 use fpp_float::SoftFloat;
 
-/// The per-thread working set of the conversion pipeline for one output
-/// base: power cache plus recycled big-integer and digit buffers.
+/// The working set of the exact engine for one output base: power cache
+/// plus recycled big-integer and digit buffers.
 ///
 /// Create one per base (or use the thread-local cache via the `String`
 /// conveniences) and pass it to [`crate::write_shortest`] /
-/// [`crate::write_fixed`] or the builders' `write_to` methods. A context
-/// handed to a builder of another base switches to that base, rebuilding
-/// its power table, so one context per base avoids the rebuilds.
+/// [`crate::write_fixed`] or the builders' `write_to` methods. Only a
+/// conversion that runs the exact engine uses it; a context handed to a
+/// builder of another base switches to that base for such a conversion,
+/// rebuilding its power table, so one context per base avoids the rebuilds.
 ///
 /// ```
 /// use fpp_core::{write_shortest, DtoaContext};
@@ -76,12 +79,13 @@ impl DtoaContext {
 
     /// Grows every recycled buffer to its `f64` free-format high-water mark
     /// by converting a handful of extreme values, so the *first* real
-    /// conversion through this context already allocates nothing. Batch
-    /// engines call this once per shard context at construction; without it
-    /// the warm-up cost lands inside the first timed batch instead.
+    /// exact-engine conversion through this context already allocates
+    /// nothing. Callers that time the exact engine call this once at
+    /// construction; without it the warm-up cost lands inside the first
+    /// timed conversion instead.
     pub fn warm_up(&mut self) -> &mut Self {
         // Priming traffic, not workload: don't let it contaminate live
-        // counters (shard contexts are built lazily, mid-measurement).
+        // counters (a context may be built mid-measurement).
         fpp_telemetry::with_recording_paused(|| {
             // Drive the extremes through the *exact* engine explicitly: the
             // shortest tier would answer them without touching the bignum
@@ -119,8 +123,9 @@ pub(crate) struct Workspace {
     /// Holds `r + m⁺` for the tc2 test each iteration, and fixed format's
     /// `B^j/2` before the loop starts.
     pub sum: Nat,
-    /// Pool of retired limb buffers for products.
-    pub scratch: Scratch,
+    /// The product register of an in-place scaling, and the `r + m⁺` test
+    /// while `k` is found. Every use ends before the next one starts.
+    pub tmp: Nat,
     /// Digit output of the generation loop.
     pub digits: Vec<u8>,
 }
@@ -135,7 +140,7 @@ impl Default for Workspace {
                 m_minus: Nat::zero(),
             },
             sum: Nat::zero(),
-            scratch: Scratch::new(),
+            tmp: Nat::zero(),
             digits: Vec::new(),
         }
     }

@@ -148,22 +148,20 @@ pub(crate) fn fixed_format_into(
     // Express half = B^j·(s/2) over the common denominator; for j < 0
     // rescale the whole state by B^(-j) so everything stays integral (s is
     // even by construction, Table 1, so s/2 is the one-bit shift). `half`
-    // lives in the sum register, which the digit loop only needs later: a
-    // pool buffer held here would take the pool's largest one and leave the
-    // scalings below a smaller one to regrow, so a warm context would
-    // still allocate.
+    // lives in the sum register, which the digit loop only needs later; the
+    // product register stays free for the scalings below.
     let half = &mut ws.sum;
     half.assign(&state.s);
     debug_assert!(state.s.is_even(), "Table 1 denominators are even");
     *half >>= 1;
     if j >= 0 {
-        powers.scale_assign(half, j as u32, &mut ws.scratch);
+        powers.scale_assign(half, j as u32, &mut ws.tmp);
     } else {
         let exp = (-j) as u32;
-        powers.scale_assign(&mut state.r, exp, &mut ws.scratch);
-        powers.scale_assign(&mut state.s, exp, &mut ws.scratch);
-        powers.scale_assign(&mut state.m_plus, exp, &mut ws.scratch);
-        powers.scale_assign(&mut state.m_minus, exp, &mut ws.scratch);
+        powers.scale_assign(&mut state.r, exp, &mut ws.tmp);
+        powers.scale_assign(&mut state.s, exp, &mut ws.tmp);
+        powers.scale_assign(&mut state.m_plus, exp, &mut ws.tmp);
+        powers.scale_assign(&mut state.m_minus, exp, &mut ws.tmp);
     }
 
     // Expand the rounding range where the requested precision is coarser;
@@ -207,7 +205,7 @@ pub(crate) fn fixed_format_into(
         std::cmp::Ordering::Greater => {}
     }
 
-    let k = strategy.scale_in(state, v, high_ok, powers, &mut ws.scratch);
+    let k = strategy.scale_in(state, v, high_ok, powers, &mut ws.tmp);
     generate_into(
         state,
         base,
@@ -293,7 +291,7 @@ pub(crate) fn fixed_format_relative_into(
     // Initial estimate of the leading-digit position from the free-format
     // scaling of the unexpanded state.
     load_initial(v, &mut ws.state);
-    let k0 = strategy.scale_in(&mut ws.state, v, false, powers, &mut ws.scratch);
+    let k0 = strategy.scale_in(&mut ws.state, v, false, powers, &mut ws.tmp);
     let mut j = k0 - count as i32;
     let mut last = None;
     for _ in 0..4 {

@@ -30,6 +30,10 @@ use crate::generate::{Inclusivity, TieBreak};
 use crate::shortest;
 use fpp_bignum::pow5;
 
+/// Room for the tier's digits: the answer at the scale `k_s` is one `u64`,
+/// so at most 20 digits, plus the one padding position `k_s − 1`.
+pub(crate) const BUF_LEN: usize = 21;
+
 /// Neither end of an unwidened range reads back under §4.
 const EXCLUSIVE: Inclusivity = Inclusivity {
     low_ok: false,
@@ -37,16 +41,17 @@ const EXCLUSIVE: Inclusivity = Inclusivity {
 };
 
 /// §4's fixed-format digits of `v = c·2^q` at `precision` (arguments as
-/// for [`shortest::shortest`]), written into `digits` as digit values, or
-/// `None` when the request's final position is not one the tier serves.
+/// for [`shortest::shortest`]), written as digit values into the front of
+/// `digits` with their count, or `None` when the request's final position
+/// is not one the tier serves.
 pub(crate) fn fixed(
     c: u64,
     q: i32,
     narrow: bool,
     precision: FixedPrecision,
     tie: TieBreak,
-    digits: &mut Vec<u8>,
-) -> Option<FixedMeta> {
+    digits: &mut [u8; BUF_LEN],
+) -> Option<(FixedMeta, usize)> {
     let d = shortest::decide(c, q, narrow, EXCLUSIVE, tie);
     debug_assert!(d.s > 0, "the shortest tier never answers zero");
     // The answer at the scale k_s, trailing zeros kept.
@@ -68,10 +73,9 @@ pub(crate) fn fixed(
         return None;
     }
 
-    digits.clear();
-    digits.resize(len as usize, 0);
+    let mut n = len as usize;
     let mut s = s_k;
-    for slot in digits.iter_mut().rev() {
+    for slot in digits[..n].iter_mut().rev() {
         *slot = (s % 10) as u8;
         s /= 10;
     }
@@ -79,16 +83,18 @@ pub(crate) fn fixed(
     if below {
         // Position k_s − 1 is significant iff high − V < 10^k_s.
         if d.zi < 100 * (s_k + 1) {
-            digits.push(0);
+            digits[n] = 0;
+            n += 1;
         } else {
             insignificant = 1;
         }
     }
-    Some(FixedMeta {
+    let meta = FixedMeta {
         k,
         insignificant,
         position: j,
-    })
+    };
+    Some((meta, n))
 }
 
 /// `10^j < 2^p`, exactly: `10^j ≤ 10^⌊p·log10 2⌋ ≤ 2^p` for
@@ -115,10 +121,10 @@ mod tests {
         let d = shortest::decide(c, q, false, EXCLUSIVE, TieBreak::Up);
         assert_eq!((d.s, d.e, d.k), (9_999_999_999_999_999, 7, 7));
         assert_eq!(d.zi, 100 * (d.s + 1));
-        let mut digits = Vec::new();
+        let mut digits = [0; BUF_LEN];
         let precision = FixedPrecision::SignificantDigits(17);
-        let meta = fixed(c, q, false, precision, TieBreak::Up, &mut digits).unwrap();
-        assert_eq!(digits, [9; 16]);
+        let (meta, n) = fixed(c, q, false, precision, TieBreak::Up, &mut digits).unwrap();
+        assert_eq!(digits[..n], [9; 16]);
         assert_eq!((meta.k, meta.insignificant, meta.position), (23, 1, 6));
     }
 

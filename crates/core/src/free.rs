@@ -150,7 +150,7 @@ pub(crate) fn free_format_into(
 ) -> i32 {
     load_initial(v, &mut ws.state);
     let inc = apply_rounding_mode(&mut ws.state, v, rounding);
-    let k = strategy.scale_in(&mut ws.state, v, inc.high_ok, powers, &mut ws.scratch);
+    let k = strategy.scale_in(&mut ws.state, v, inc.high_ok, powers, &mut ws.tmp);
     ws.digits.clear();
     generate_into(
         &mut ws.state,

@@ -176,14 +176,13 @@ mod tests {
     fn free_digits_with_tie(v: f64, base: u64, inc: Inclusivity, tie: TieBreak) -> Digits {
         let sf = SoftFloat::from_f64(v).expect("positive finite");
         let mut powers = PowerTable::new(base);
-        let mut scratch = fpp_bignum::Scratch::new();
         let mut state = initial_state(&sf);
         let k = ScalingStrategy::Estimate.scale_in(
             &mut state,
             &sf,
             inc.high_ok,
             &mut powers,
-            &mut scratch,
+            &mut Nat::zero(),
         );
         let mut digits = Vec::new();
         let mut sum = Nat::zero();

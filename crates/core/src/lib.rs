@@ -44,21 +44,23 @@
 //! * [`free_digits_exact`] — §2.2's rational-arithmetic reference oracle.
 //! * [`render`] / [`render_fixed_into`] / [`Notation`] — digit-to-text layout;
 //!   [`render_into`] / [`render_fixed_into`] emit through a sink.
-//! * [`DtoaContext`] / [`DigitSink`] — the zero-allocation layer: a
-//!   reusable context (power table, Table 1 registers, digit buffer,
-//!   scratch pool) and an output-sink trait ([`SliceSink`] for stack
-//!   buffers, `Vec<u8>`, [`FmtSink`] for `fmt::Write`). One warm-up
+//! * [`DtoaContext`] / [`DigitSink`] — the zero-allocation layer: the exact
+//!   engine's reusable context (power table, Table 1 registers, product
+//!   register, digit buffer) and an output-sink trait ([`SliceSink`] for
+//!   stack buffers, `Vec<u8>`, [`FmtSink`] for `fmt::Write`). One warm-up
 //!   conversion grows every buffer to its high-water mark; after that
 //!   [`write_shortest`] / [`write_fixed`] and the builders' `write_to`
 //!   allocate nothing (see the root crate's `tests/alloc_count.rs`).
 //! * [`FreeFormat`] / [`FixedFormat`] — high-level builders over the above
-//!   (sign/zero/NaN handling); their `String` conveniences borrow a
-//!   thread-local [`DtoaContext`] via [`with_thread_context`].
+//!   (sign/zero/NaN handling).
 //! * The `u64` tiers the builders run in front of the exact engines, with
-//!   the exact engines' bytes: the shortest tier answers every base-10
-//!   nearest-mode free-format value, and the fixed tier answers base-10
-//!   fixed format at the float's own precision, such as Table 3's 17
-//!   significant digits.
+//!   the exact engines' bytes and no context: the shortest tier answers
+//!   every base-10 nearest-mode free-format value
+//!   ([`FreeFormat::try_write`]), and the fixed tier answers base-10 fixed
+//!   format at the float's own precision, such as Table 3's 17 significant
+//!   digits. Only the exact engine borrows a [`DtoaContext`]; the builders'
+//!   `String` conveniences borrow a thread-local one via
+//!   [`with_thread_context`] only for it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -97,16 +99,18 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 
 thread_local! {
-    /// Per-thread conversion contexts, one per output base — memoised
+    /// Per-thread exact-engine contexts, one per output base — memoised
     /// powers (the paper's persistent `10^k` table, Figure 2) plus the
-    /// recycled big-integer and digit buffers of the pipeline.
+    /// recycled big-integer and digit buffers of the engine.
     static CONTEXTS: RefCell<HashMap<u64, DtoaContext>> = RefCell::new(HashMap::new());
 }
 
-/// Runs `f` with this thread's cached [`DtoaContext`] for `base`. The
-/// `String`-returning conveniences all route through this cache, so repeated
-/// calls on a thread reuse one warm context and settle into zero
-/// steady-state allocation (beyond the `String`s themselves).
+/// Runs `f` with this thread's cached [`DtoaContext`] for `base`, creating
+/// it on first use. The `String`-returning conveniences route every
+/// exact-engine conversion through this cache, so repeated calls on a
+/// thread reuse one warm context and settle into zero steady-state
+/// allocation (beyond the `String`s themselves). Conversions the `u64`
+/// tiers answer never reach it.
 pub fn with_thread_context<R>(base: u64, f: impl FnOnce(&mut DtoaContext) -> R) -> R {
     CONTEXTS.with(|contexts| {
         let mut contexts = contexts.borrow_mut();
@@ -365,45 +369,33 @@ impl FreeFormat {
             && shortest::covers::<F>()
     }
 
-    /// Writes `v` through the shortest tier: returns `true` with the full
+    /// Writes `v` without a [`DtoaContext`]: returns `true` with the full
     /// formatted value (sign, digits, layout) in `sink`, or `false` with
-    /// `sink` untouched when the configuration is not one the tier serves
-    /// (see [`FreeFormat::write_to`] for the exact engine). For an eligible
-    /// configuration — base 10, [`ScalingStrategy::Estimate`], a
-    /// nearest-family [`RoundingMode`], `f64` or a narrower format — it
-    /// answers every value, with the exact engine's bytes. Specials (`NaN`,
-    /// infinities, zeros) are always written directly.
+    /// `sink` untouched when `v` is finite and the configuration is not one
+    /// the shortest tier serves (see [`FreeFormat::write_to`] for the exact
+    /// engine). For an eligible configuration — base 10,
+    /// [`ScalingStrategy::Estimate`], a nearest-family [`RoundingMode`],
+    /// `f64` or a narrower format — it answers every value, with the exact
+    /// engine's bytes. Specials (`NaN`, infinities, zeros) are always
+    /// written.
     ///
-    /// [`FreeFormat::write_to`] already calls this internally; it is public
-    /// so benchmarks can time the tier on its own. A `ctx` of another base
-    /// switches to this builder's base.
-    pub fn try_write_fast<F: FloatFormat>(
-        &self,
-        ctx: &mut DtoaContext,
-        sink: &mut impl DigitSink,
-        v: F,
-    ) -> bool {
-        ctx.set_base(self.base);
-        match finite_or_text(v.decode()) {
-            Ok((negative, mantissa, exponent)) => {
-                self.write_shortest_tier::<F>(sink, negative, mantissa, exponent)
-            }
+    /// ```
+    /// use fpp_core::FreeFormat;
+    /// let mut out = Vec::new();
+    /// assert!(FreeFormat::new().try_write(&mut out, 0.3));
+    /// assert_eq!(out, b"0.3");
+    /// // Base 16 runs the exact engine, which needs a context.
+    /// assert!(!FreeFormat::new().base(16).try_write(&mut out, 0.3));
+    /// assert_eq!(out, b"0.3");
+    /// ```
+    pub fn try_write<F: FloatFormat>(&self, sink: &mut impl DigitSink, v: F) -> bool {
+        let (negative, mantissa, exponent) = match finite_or_text(v.decode()) {
+            Ok(parts) => parts,
             Err(text) => {
                 sink.push_slice(text.as_bytes());
-                true
+                return true;
             }
-        }
-    }
-
-    /// The shortest tier's half of [`FreeFormat::try_write_fast`], for a
-    /// finite value.
-    fn write_shortest_tier<F: FloatFormat>(
-        &self,
-        sink: &mut impl DigitSink,
-        negative: bool,
-        mantissa: u64,
-        exponent: i32,
-    ) -> bool {
+        };
         if !self.tier_eligible::<F>() {
             return false;
         }
@@ -417,25 +409,39 @@ impl FreeFormat {
         true
     }
 
-    /// Writes the formatted value into `sink`, reusing `ctx`'s buffers —
-    /// byte-identical to [`FreeFormat::format_float`], without allocating
-    /// once the context is warm. Eligible configurations go through the
-    /// shortest tier (unless disabled via [`FreeFormat::fast_path`]); every
-    /// other one runs the exact Burger–Dybvig engine. A `ctx` of another
+    /// [`FreeFormat::try_write`] under its earlier name; `ctx` is unused.
+    /// Kept because existing benchmark code calls it.
+    pub fn try_write_fast<F: FloatFormat>(
+        &self,
+        _ctx: &mut DtoaContext,
+        sink: &mut impl DigitSink,
+        v: F,
+    ) -> bool {
+        self.try_write(sink, v)
+    }
+
+    /// Writes the formatted value into `sink` — byte-identical to
+    /// [`FreeFormat::format_float`]. Eligible configurations go through the
+    /// shortest tier ([`FreeFormat::try_write`]) and leave `ctx` untouched;
+    /// every other one (or any, with [`FreeFormat::fast_path`] off) runs
+    /// the exact Burger–Dybvig engine on `ctx`'s buffers, without allocating
+    /// once the context is warm. For such a conversion a `ctx` of another
     /// base switches to this builder's base, rebuilding its power table.
     pub fn write_to<F: FloatFormat>(&self, ctx: &mut DtoaContext, sink: &mut impl DigitSink, v: F) {
-        ctx.set_base(self.base);
-        let (negative, mantissa, exponent) = match finite_or_text(v.decode()) {
-            Ok(parts) => parts,
-            Err(text) => {
-                sink.push_slice(text.as_bytes());
-                return;
-            }
-        };
-        if self.write_shortest_tier::<F>(sink, negative, mantissa, exponent) {
-            return;
+        if !self.try_write(sink, v) {
+            self.write_exact(ctx, sink, v);
         }
+    }
+
+    /// The exact engine's half of [`FreeFormat::write_to`], for a finite
+    /// value [`FreeFormat::try_write`] declined.
+    fn write_exact<F: FloatFormat>(&self, ctx: &mut DtoaContext, sink: &mut impl DigitSink, v: F) {
+        let (negative, mantissa, exponent) = v
+            .decode()
+            .finite_parts()
+            .expect("try_write answers every value but finite ones");
         fpp_telemetry::record_fastpath(false);
+        ctx.set_base(self.base);
         if negative {
             sink.push(b'-');
         }
@@ -460,14 +466,15 @@ impl FreeFormat {
     }
 
     /// Formats any float implementing [`FloatFormat`] (`f32`, `f64`),
-    /// including signs, zeros, infinities and NaN.
+    /// including signs, zeros, infinities and NaN. Only a configuration
+    /// that runs the exact engine borrows the thread's [`DtoaContext`].
     #[must_use]
     pub fn format_float<F: FloatFormat>(&self, v: F) -> String {
-        with_thread_context(self.base, |ctx| {
-            let mut out = Vec::with_capacity(24);
-            self.write_to(ctx, &mut out, v);
-            String::from_utf8(out).expect("formatter emits UTF-8")
-        })
+        let mut out = Vec::with_capacity(24);
+        if !self.try_write(&mut out, v) {
+            with_thread_context(self.base, |ctx| self.write_exact(ctx, &mut out, v));
+        }
+        String::from_utf8(out).expect("formatter emits UTF-8")
     }
 
     /// Formats an `f64`.
@@ -643,73 +650,80 @@ impl FixedFormat {
         })
     }
 
-    /// Writes the formatted value into `sink`, reusing `ctx`'s buffers —
-    /// byte-identical to [`FixedFormat::format_float`], without allocating
-    /// once the context is warm.
+    /// Writes the formatted value into `sink` — byte-identical to
+    /// [`FixedFormat::format_float`].
     ///
     /// Base 10 with [`ScalingStrategy::Estimate`], on `f64` or a narrower
     /// format, first tries the fixed tier: `u64` arithmetic that answers
     /// §4 exactly when the final position is at the float's own precision,
     /// as it is for every normal `f64` at the default 17 significant
-    /// digits. Every other request runs the exact Burger–Dybvig engine,
-    /// with the same bytes.
-    ///
-    /// A `ctx` of another base switches to this builder's base, rebuilding
-    /// its power table.
+    /// digits. The tier leaves `ctx` untouched. Every other request runs
+    /// the exact Burger–Dybvig engine on `ctx`'s buffers, with the same
+    /// bytes and without allocating once the context is warm; for such a
+    /// conversion a `ctx` of another base switches to this builder's base,
+    /// rebuilding its power table.
     ///
     /// # Panics
     ///
     /// Panics on the precision bounds documented on the builder methods.
     pub fn write_to<F: FloatFormat>(&self, ctx: &mut DtoaContext, sink: &mut impl DigitSink, v: F) {
-        ctx.set_base(self.base);
+        if !self.try_write(sink, v) {
+            self.write_exact(ctx, sink, v);
+        }
+    }
+
+    /// Writes specials, or the fixed tier's answer, without a context:
+    /// `false` with `sink` untouched when `v` is finite and the tier does
+    /// not serve this request.
+    fn try_write<F: FloatFormat>(&self, sink: &mut impl DigitSink, v: F) -> bool {
         let (negative, mantissa, exponent) = match finite_or_text(v.decode()) {
             Ok(parts) => parts,
             Err(text) => {
                 sink.push_slice(text.as_bytes());
-                return;
+                return true;
             }
         };
+        if !(self.base == 10
+            && self.strategy == ScalingStrategy::Estimate
+            && shortest::covers::<F>())
+        {
+            return false;
+        }
+        let mut digits = [0u8; fixed_tier::BUF_LEN];
+        let narrow = shortest::narrow::<F>(mantissa, exponent);
+        let Some((meta, len)) = fixed_tier::fixed(
+            mantissa,
+            exponent,
+            narrow,
+            self.precision,
+            self.tie,
+            &mut digits,
+        ) else {
+            return false;
+        };
+        fpp_telemetry::record_fixed_tier(true);
         if negative {
             sink.push(b'-');
         }
-        let tier = if self.base == 10
-            && self.strategy == ScalingStrategy::Estimate
-            && shortest::covers::<F>()
-        {
-            fixed_tier::fixed(
-                mantissa,
-                exponent,
-                shortest::narrow::<F>(mantissa, exponent),
-                self.precision,
-                self.tie,
-                &mut ctx.ws.digits,
-            )
-        } else {
-            None
-        };
-        fpp_telemetry::record_fixed_tier(tier.is_some());
-        let meta = tier.unwrap_or_else(|| self.exact_meta::<F>(ctx, mantissa, exponent));
-        let layout = FixedLayout {
-            digits: &ctx.ws.digits,
-            k: meta.k,
-            insignificant: meta.insignificant,
-            position: meta.position,
-            hash_marks: self.hash_marks,
-        };
-        render_fixed_into(sink, &layout, self.notation, self.base, &self.style);
+        self.render(sink, &digits[..len], meta);
+        true
     }
 
-    /// Runs the exact engine on a positive finite value, leaving its digits
-    /// in `ctx`'s workspace.
-    fn exact_meta<F: FloatFormat>(
-        &self,
-        ctx: &mut DtoaContext,
-        mantissa: u64,
-        exponent: i32,
-    ) -> fixed::FixedMeta {
+    /// The exact engine's half of [`FixedFormat::write_to`], for a finite
+    /// value [`FixedFormat::try_write`] declined.
+    fn write_exact<F: FloatFormat>(&self, ctx: &mut DtoaContext, sink: &mut impl DigitSink, v: F) {
+        let (negative, mantissa, exponent) = v
+            .decode()
+            .finite_parts()
+            .expect("try_write answers every value but finite ones");
+        fpp_telemetry::record_fixed_tier(false);
+        ctx.set_base(self.base);
+        if negative {
+            sink.push(b'-');
+        }
         ctx.value
             .assign_binary_parts(mantissa, exponent, F::PRECISION, F::MIN_EXP);
-        match self.precision {
+        let meta = match self.precision {
             FixedPrecision::AbsolutePosition(j) => fixed::fixed_format_into(
                 &ctx.value,
                 j,
@@ -726,18 +740,32 @@ impl FixedFormat {
                 &mut ctx.powers,
                 &mut ctx.ws,
             ),
-        }
+        };
+        self.render(sink, &ctx.ws.digits, meta);
+    }
+
+    /// Lays out one conversion's digits.
+    fn render(&self, sink: &mut impl DigitSink, digits: &[u8], meta: fixed::FixedMeta) {
+        let layout = FixedLayout {
+            digits,
+            k: meta.k,
+            insignificant: meta.insignificant,
+            position: meta.position,
+            hash_marks: self.hash_marks,
+        };
+        render_fixed_into(sink, &layout, self.notation, self.base, &self.style);
     }
 
     /// Formats any float implementing [`FloatFormat`], including signs,
-    /// zeros, infinities and NaN.
+    /// zeros, infinities and NaN. Only a request that runs the exact engine
+    /// borrows the thread's [`DtoaContext`].
     #[must_use]
     pub fn format_float<F: FloatFormat>(&self, v: F) -> String {
-        with_thread_context(self.base, |ctx| {
-            let mut out = Vec::with_capacity(24);
-            self.write_to(ctx, &mut out, v);
-            String::from_utf8(out).expect("formatter emits UTF-8")
-        })
+        let mut out = Vec::with_capacity(24);
+        if !self.try_write(&mut out, v) {
+            with_thread_context(self.base, |ctx| self.write_exact(ctx, &mut out, v));
+        }
+        String::from_utf8(out).expect("formatter emits UTF-8")
     }
 
     /// Formats an `f64`.

@@ -25,7 +25,7 @@
 //! * [`ScalingStrategy::Gay`] — David Gay's five-flop first-degree Taylor
 //!   estimator for `log₁₀ v` (related work, §5), a comparison row in `table2`.
 
-use fpp_bignum::{Nat, PowerTable, Scratch};
+use fpp_bignum::{Nat, PowerTable};
 use fpp_float::SoftFloat;
 
 /// The unscaled big-integer state of Table 1: `v = r/s`, `m⁺ = m_plus/s`,
@@ -105,7 +105,7 @@ pub fn initial_state(v: &SoftFloat) -> InitialState {
 }
 
 /// `high ≥ Bᵏ` test against the current scale, honouring inclusivity; `sum`
-/// is a recycled buffer for `r + m⁺`.
+/// is a recycled register for `r + m⁺`.
 fn too_low(state: &InitialState, sum: &mut Nat, high_ok: bool) -> bool {
     sum.set_sum(&state.r, &state.m_plus);
     if high_ok {
@@ -128,20 +128,18 @@ fn apply_estimate_in(
     est: i32,
     high_ok: bool,
     powers: &mut PowerTable,
-    scratch: &mut Scratch,
+    tmp: &mut Nat,
 ) -> i32 {
     if est >= 0 {
-        powers.scale_assign(&mut state.s, est as u32, scratch);
+        powers.scale_assign(&mut state.s, est as u32, tmp);
     } else {
         let exp = -est as u32;
-        powers.scale_assign(&mut state.r, exp, scratch);
-        powers.scale_assign(&mut state.m_plus, exp, scratch);
-        powers.scale_assign(&mut state.m_minus, exp, scratch);
+        powers.scale_assign(&mut state.r, exp, tmp);
+        powers.scale_assign(&mut state.m_plus, exp, tmp);
+        powers.scale_assign(&mut state.m_minus, exp, tmp);
     }
     let base = powers.base();
-    let mut sum = scratch.take();
-    let low = too_low(state, &mut sum, high_ok);
-    scratch.put(sum);
+    let low = too_low(state, tmp, high_ok);
     fpp_telemetry::record_scale(low);
     if low {
         // Estimate was one low: k = est + 1, and r/s already equals
@@ -167,13 +165,12 @@ fn iterative_in(
     state: &mut InitialState,
     high_ok: bool,
     powers: &mut PowerTable,
-    scratch: &mut Scratch,
+    tmp: &mut Nat,
 ) -> i32 {
     let base = powers.base();
     let mut k: i32 = 0;
-    let mut sum = scratch.take();
     loop {
-        if too_low(state, &mut sum, high_ok) {
+        if too_low(state, tmp, high_ok) {
             // k too low
             state.s.mul_u64(base);
             k += 1;
@@ -183,9 +180,8 @@ fn iterative_in(
             state.r.mul_u64(base);
             state.m_plus.mul_u64(base);
             state.m_minus.mul_u64(base);
-            if too_low(state, &mut sum, high_ok) {
+            if too_low(state, tmp, high_ok) {
                 // k correct: the premultiplied state is generation form.
-                scratch.put(sum);
                 return k;
             }
             // k too high
@@ -305,30 +301,30 @@ impl ScalingStrategy {
     /// `value` describes the float being printed (the estimators read its
     /// mantissa length and exponent). `high_ok` is true when the upper
     /// endpoint of the rounding range itself reads back as `v`, in which
-    /// case `k` must satisfy the strict `high < Bᵏ`. `scratch` supplies
-    /// recycled limb buffers so a warmed-up pipeline scales without heap
-    /// allocation.
+    /// case `k` must satisfy the strict `high < Bᵏ`. `tmp` is a recycled
+    /// register for products and comparisons, so a warmed-up pipeline
+    /// scales without heap allocation; its value on return is unspecified.
     pub fn scale_in(
         self,
         state: &mut InitialState,
         value: &SoftFloat,
         high_ok: bool,
         powers: &mut PowerTable,
-        scratch: &mut Scratch,
+        tmp: &mut Nat,
     ) -> i32 {
         let est = match self {
             ScalingStrategy::Estimate => estimate_k(value, powers.base()),
             ScalingStrategy::Log => log_estimate(value, powers.base()),
             ScalingStrategy::Gay => gay_estimate(value, powers.base()),
-            ScalingStrategy::Iterative => return iterative_in(state, high_ok, powers, scratch),
+            ScalingStrategy::Iterative => return iterative_in(state, high_ok, powers, tmp),
         };
-        apply_estimate_in(state, est, high_ok, powers, scratch)
+        apply_estimate_in(state, est, high_ok, powers, tmp)
     }
 
     /// Value-passing convenience over [`ScalingStrategy::scale_in`]
-    /// (allocates its own scratch; the batch entry points use this, the
-    /// `write_*` pipeline uses `scale_in` with the context's pooled
-    /// buffers).
+    /// (allocates its own product register; the batch entry points use
+    /// this, the `write_*` pipeline uses `scale_in` with the context's
+    /// register).
     #[must_use]
     pub fn scale(
         self,
@@ -337,8 +333,7 @@ impl ScalingStrategy {
         high_ok: bool,
         powers: &mut PowerTable,
     ) -> ScaledState {
-        let mut scratch = Scratch::new();
-        let k = self.scale_in(&mut state, value, high_ok, powers, &mut scratch);
+        let k = self.scale_in(&mut state, value, high_ok, powers, &mut Nat::zero());
         ScaledState {
             r: state.r,
             s: state.s,

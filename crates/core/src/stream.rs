@@ -10,7 +10,7 @@
 
 use crate::generate::{next_digit, Inclusivity, TieBreak};
 use crate::scale::{initial_state, InitialState, ScalingStrategy};
-use fpp_bignum::{Nat, PowerTable, Scratch};
+use fpp_bignum::{Nat, PowerTable};
 use fpp_float::{RoundingMode, SoftFloat};
 
 /// A lazily evaluated stream of free-format digits for a positive value:
@@ -59,7 +59,7 @@ impl DigitStream {
     ) -> Self {
         let mut state = initial_state(v);
         let inc = crate::free::apply_rounding_mode(&mut state, v, rounding);
-        let k = strategy.scale_in(&mut state, v, inc.high_ok, powers, &mut Scratch::new());
+        let k = strategy.scale_in(&mut state, v, inc.high_ok, powers, &mut Nat::zero());
         DigitStream {
             state,
             sum: Nat::zero(),

@@ -3,10 +3,9 @@
 //! The paper's entire evaluation is built on counting what the algorithm
 //! does — digit lengths (§5), scale fixups (§3.2, Table 2), loop iterations.
 //! This crate makes those same distributions observable in a *production*
-//! pipeline: the shortest tier, the digit loop, the scaling estimator, the
-//! bignum scratch arena, the batch sharder, and the reader all report into one
-//! process-wide set of counters, fixed-bucket histograms and high-water
-//! gauges.
+//! pipeline: the shortest and fixed tiers, the digit loop, the scaling
+//! estimator, the batch sharder, and the reader all report into one
+//! process-wide set of counters and fixed-bucket histograms.
 //!
 //! ## Zero overhead when disabled
 //!
@@ -24,8 +23,8 @@
 //!
 //! With the feature **on**, every thread accumulates into a private block
 //! of plain `Cell<u64>`s — no atomics, no locks, no sharing on the hot
-//! path. The block drains into a global set of `AtomicU64`s (relaxed adds
-//! and `fetch_max`es — lock-free, never blocking) when the thread exits or
+//! path. The block drains into a global set of `AtomicU64`s (relaxed adds —
+//! lock-free, never blocking) when the thread exits or
 //! on an explicit [`flush_thread`]. The batch engine's scoped shard threads
 //! therefore aggregate automatically: each worker flushes at scope exit,
 //! before the batch call returns. Long-lived threads should call
@@ -89,8 +88,7 @@ macro_rules! metric_enum {
 
 metric_enum! {
     /// Monotonic event counters, one per instrumented event across the
-    /// whole stack (core digit loop, scaler, scratch arena, batch engine,
-    /// reader).
+    /// whole stack (core tiers, digit loop, scaler, batch engine, reader).
     Counter {
         /// Conversions completed by the core digit-generation loop.
         CoreConversions => "core_conversions",
@@ -131,14 +129,6 @@ metric_enum! {
         /// engine instead: other bases and strategies, and final positions
         /// the tier does not serve.
         CoreFixedTierFallbacks => "core_fixed_tier_fallbacks",
-        /// Buffers handed out by the scratch arena.
-        ScratchTakes => "scratch_takes",
-        /// Buffers returned to the scratch arena.
-        ScratchPuts => "scratch_puts",
-        /// Takes that found the pool empty and created a fresh buffer —
-        /// the steady-state-allocation warning signal (non-zero after
-        /// warm-up means the zero-alloc guarantee is at risk).
-        ScratchPoolMisses => "scratch_pool_misses",
         /// Serial (single-context) batch conversions.
         BatchSerialBatches => "batch_serial_batches",
         /// Sharded batch conversions.
@@ -167,16 +157,6 @@ metric_enum! {
     }
 }
 
-metric_enum! {
-    /// High-water-mark gauges (merged with `max`, not `+`).
-    Gauge {
-        /// Largest number of buffers ever parked in one scratch pool.
-        ScratchPoolHwm => "scratch_pool_hwm",
-        /// Largest limb capacity ever returned to a scratch pool.
-        ScratchLimbsHwm => "scratch_limbs_hwm",
-    }
-}
-
 /// How a digit-generation loop ended (the paper's two termination
 /// conditions, §2.2 step 4).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -195,7 +175,7 @@ pub enum Termination {
 
 #[cfg(feature = "enabled")]
 mod imp {
-    use super::{Counter, Gauge, DIGIT_LEN_BUCKETS, SHARD_LEN_BUCKETS};
+    use super::{Counter, DIGIT_LEN_BUCKETS, SHARD_LEN_BUCKETS};
     use std::cell::Cell;
     use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -203,14 +183,12 @@ mod imp {
     /// flushes and read by snapshots.
     pub(super) struct Global {
         counters: [AtomicU64; Counter::COUNT],
-        gauges: [AtomicU64; Gauge::COUNT],
         digit_len: [AtomicU64; DIGIT_LEN_BUCKETS],
         shard_len: [AtomicU64; SHARD_LEN_BUCKETS],
     }
 
     pub(super) static GLOBAL: Global = Global {
         counters: [const { AtomicU64::new(0) }; Counter::COUNT],
-        gauges: [const { AtomicU64::new(0) }; Gauge::COUNT],
         digit_len: [const { AtomicU64::new(0) }; DIGIT_LEN_BUCKETS],
         shard_len: [const { AtomicU64::new(0) }; SHARD_LEN_BUCKETS],
     };
@@ -219,7 +197,6 @@ mod imp {
     /// Dropping it (thread exit) drains it into [`GLOBAL`].
     pub(super) struct Local {
         counters: [Cell<u64>; Counter::COUNT],
-        gauges: [Cell<u64>; Gauge::COUNT],
         digit_len: [Cell<u64>; DIGIT_LEN_BUCKETS],
         shard_len: [Cell<u64>; SHARD_LEN_BUCKETS],
         /// Pause depth for [`super::with_recording_paused`]: while nonzero,
@@ -232,7 +209,6 @@ mod imp {
         const fn new() -> Self {
             Local {
                 counters: [const { Cell::new(0) }; Counter::COUNT],
-                gauges: [const { Cell::new(0) }; Gauge::COUNT],
                 digit_len: [const { Cell::new(0) }; DIGIT_LEN_BUCKETS],
                 shard_len: [const { Cell::new(0) }; SHARD_LEN_BUCKETS],
                 paused: Cell::new(0),
@@ -242,9 +218,6 @@ mod imp {
         fn flush(&self) {
             for (local, global) in self.counters.iter().zip(&GLOBAL.counters) {
                 global.fetch_add(local.replace(0), Ordering::Relaxed);
-            }
-            for (local, global) in self.gauges.iter().zip(&GLOBAL.gauges) {
-                global.fetch_max(local.replace(0), Ordering::Relaxed);
             }
             for (local, global) in self.digit_len.iter().zip(&GLOBAL.digit_len) {
                 global.fetch_add(local.replace(0), Ordering::Relaxed);
@@ -290,13 +263,6 @@ mod imp {
         });
     }
 
-    pub(super) fn gauge_max(g: Gauge, v: u64) {
-        with_local(|l| {
-            let cell = &l.gauges[g as usize];
-            cell.set(cell.get().max(v));
-        });
-    }
-
     pub(super) fn digit_len_record(bucket: usize) {
         with_local(|l| {
             let cell = &l.digit_len[bucket.min(DIGIT_LEN_BUCKETS - 1)];
@@ -321,9 +287,6 @@ mod imp {
             for c in &l.counters {
                 c.set(0);
             }
-            for g in &l.gauges {
-                g.set(0);
-            }
             for b in &l.digit_len {
                 b.set(0);
             }
@@ -334,7 +297,6 @@ mod imp {
         for a in GLOBAL
             .counters
             .iter()
-            .chain(&GLOBAL.gauges)
             .chain(&GLOBAL.digit_len)
             .chain(&GLOBAL.shard_len)
         {
@@ -348,9 +310,6 @@ mod imp {
         for (i, a) in GLOBAL.counters.iter().enumerate() {
             snap.counters[i] = a.load(Ordering::Relaxed);
         }
-        for (i, a) in GLOBAL.gauges.iter().enumerate() {
-            snap.gauges[i] = a.load(Ordering::Relaxed);
-        }
         for (i, a) in GLOBAL.digit_len.iter().enumerate() {
             snap.digit_len[i] = a.load(Ordering::Relaxed);
         }
@@ -363,7 +322,7 @@ mod imp {
 
 #[cfg(not(feature = "enabled"))]
 mod imp {
-    use super::{Counter, Gauge};
+    use super::Counter;
 
     /// The disabled build's entire state: nothing. A unit test asserts this
     /// stays zero-sized, so a disabled binary carries no telemetry data at
@@ -380,9 +339,6 @@ mod imp {
 
     #[inline(always)]
     pub(super) fn add(_c: Counter, _n: u64) {}
-
-    #[inline(always)]
-    pub(super) fn gauge_max(_g: Gauge, _v: u64) {}
 
     #[inline(always)]
     pub(super) fn digit_len_record(_bucket: usize) {}
@@ -481,26 +437,6 @@ pub fn record_fixed_tier(hit: bool) {
     );
 }
 
-/// Records a scratch-arena take; `recycled` is false when the pool was
-/// empty and a fresh buffer had to be created (the steady-state-allocation
-/// warning signal).
-#[inline(always)]
-pub fn record_scratch_take(recycled: bool) {
-    imp::add(Counter::ScratchTakes, 1);
-    if !recycled {
-        imp::add(Counter::ScratchPoolMisses, 1);
-    }
-}
-
-/// Records a scratch-arena put: the pool length after parking the buffer
-/// and the buffer's limb capacity (both tracked as high-water gauges).
-#[inline(always)]
-pub fn record_scratch_put(pool_len: usize, limb_capacity: usize) {
-    imp::add(Counter::ScratchPuts, 1);
-    imp::gauge_max(Gauge::ScratchPoolHwm, pool_len as u64);
-    imp::gauge_max(Gauge::ScratchLimbsHwm, limb_capacity as u64);
-}
-
 /// Records one serial batch conversion.
 #[inline(always)]
 pub fn record_serial_batch() {
@@ -586,8 +522,8 @@ pub fn reset() {
 /// Runs `f` with this thread's recording suspended: every `record_*` call
 /// made inside (at any depth — the suspension nests) is dropped instead of
 /// counted. Infrastructure traffic such as [`DtoaContext::warm_up`]'s
-/// priming conversions uses this so lazily-constructed contexts never
-/// contaminate live counters mid-measurement. Keep the region short and
+/// priming conversions uses this so a context built mid-measurement never
+/// contaminates live counters. Keep the region short and
 /// don't capture or reset inside it (both are thread-block operations and
 /// would be skipped too). No-op overhead when telemetry is disabled.
 ///
@@ -607,8 +543,6 @@ pub fn with_recording_paused<R>(f: impl FnOnce() -> R) -> R {
 pub struct TelemetrySnapshot {
     /// Counter values, indexed by `Counter as usize`.
     pub counters: [u64; Counter::COUNT],
-    /// Gauge values, indexed by `Gauge as usize`.
-    pub gauges: [u64; Gauge::COUNT],
     /// Digits-per-conversion histogram (bucket = digit count, last bucket
     /// absorbs overflow). Sums to `core_conversions`.
     pub digit_len: [u64; DIGIT_LEN_BUCKETS],
@@ -621,7 +555,6 @@ impl Default for TelemetrySnapshot {
     fn default() -> Self {
         TelemetrySnapshot {
             counters: [0; Counter::COUNT],
-            gauges: [0; Gauge::COUNT],
             digit_len: [0; DIGIT_LEN_BUCKETS],
             shard_len_log2: [0; SHARD_LEN_BUCKETS],
         }
@@ -639,12 +572,6 @@ impl TelemetrySnapshot {
     #[must_use]
     pub fn get(&self, c: Counter) -> u64 {
         self.counters[c as usize]
-    }
-
-    /// The value of one high-water gauge.
-    #[must_use]
-    pub fn gauge(&self, g: Gauge) -> u64 {
-        self.gauges[g as usize]
     }
 
     /// Fraction of finite free-format conversions the shortest tier
@@ -690,17 +617,12 @@ impl TelemetrySnapshot {
     #[must_use]
     pub fn to_json(&self) -> String {
         let mut s = String::with_capacity(1024);
-        s.push_str("{\n  \"schema_version\": 1,\n");
+        s.push_str("{\n  \"schema_version\": 2,\n");
         let _ = writeln!(s, "  \"enabled\": {ENABLED},");
         s.push_str("  \"counters\": {\n");
         for (i, c) in Counter::ALL.iter().enumerate() {
             let comma = if i + 1 < Counter::COUNT { "," } else { "" };
             let _ = writeln!(s, "    \"{}\": {}{comma}", c.name(), self.get(*c));
-        }
-        s.push_str("  },\n  \"gauges\": {\n");
-        for (i, g) in Gauge::ALL.iter().enumerate() {
-            let comma = if i + 1 < Gauge::COUNT { "," } else { "" };
-            let _ = writeln!(s, "    \"{}\": {}{comma}", g.name(), self.gauge(*g));
         }
         s.push_str("  },\n  \"histograms\": {\n");
         let _ = writeln!(
@@ -726,10 +648,6 @@ impl TelemetrySnapshot {
         for c in Counter::ALL {
             let _ = writeln!(s, "# TYPE fpp_{} counter", c.name());
             let _ = writeln!(s, "fpp_{} {}", c.name(), self.get(c));
-        }
-        for g in Gauge::ALL {
-            let _ = writeln!(s, "# TYPE fpp_{} gauge", g.name());
-            let _ = writeln!(s, "fpp_{} {}", g.name(), self.gauge(g));
         }
         prometheus_histogram(
             &mut s,
@@ -791,11 +709,7 @@ mod tests {
     #[test]
     fn metric_names_are_well_formed_and_unique() {
         let mut seen = std::collections::HashSet::new();
-        for name in Counter::ALL
-            .iter()
-            .map(|c| c.name())
-            .chain(Gauge::ALL.iter().map(|g| g.name()))
-        {
+        for name in Counter::ALL.iter().map(|c| c.name()) {
             assert!(seen.insert(name), "duplicate metric name {name}");
             assert!(
                 name.bytes()
@@ -892,8 +806,6 @@ mod tests {
             for i in 0..100 {
                 record_generation(17, Termination::Low);
                 record_scale(i % 2 == 0);
-                record_scratch_take(false);
-                record_scratch_put(4, 128);
                 record_fastpath(true);
                 record_shard(4096);
                 record_read(ReadPath::EiselLemire);
@@ -920,9 +832,6 @@ mod tests {
             record_generation(17, Termination::Tie { rounded_up: true });
             record_scale(true);
             record_scale(false);
-            record_scratch_take(true);
-            record_scratch_take(false);
-            record_scratch_put(3, 64);
             std::thread::spawn(|| {
                 record_generation(17, Termination::High);
                 record_fastpath(true);
@@ -930,7 +839,6 @@ mod tests {
                 record_read(ReadPath::Exact);
                 record_read(ReadPath::EiselLemire);
                 record_parse_batch_sharded(2, 5000);
-                record_scratch_put(2, 999);
                 // No explicit flush: thread exit drains the block.
             })
             .join()
@@ -959,8 +867,6 @@ mod tests {
             assert_eq!(snap.get(Counter::CoreTieRoundUp), 1);
             assert_eq!(snap.get(Counter::CoreScaleFixups), 1);
             assert_eq!(snap.get(Counter::CoreScaleExact), 1);
-            assert_eq!(snap.get(Counter::ScratchPoolMisses), 1);
-            assert_eq!(snap.get(Counter::ScratchTakes), 2);
             assert_eq!(snap.get(Counter::ReaderExactFallbacks), 1);
             assert_eq!(snap.get(Counter::ReaderEiselLemireHits), 1);
             assert_eq!(snap.get(Counter::ReaderReads), 2);
@@ -968,8 +874,6 @@ mod tests {
             assert_eq!(snap.get(Counter::ReaderBatchShards), 2);
             assert_eq!(snap.get(Counter::ReaderBatchValues), 5000);
             assert!((snap.reader_fastpath_rate() - 0.5).abs() < 1e-12);
-            assert_eq!(snap.gauge(Gauge::ScratchLimbsHwm), 999);
-            assert_eq!(snap.gauge(Gauge::ScratchPoolHwm), 3);
             assert_eq!(snap.digit_len[5], 1);
             assert_eq!(snap.digit_len[17], 2);
             assert_eq!(snap.shard_len_log2[12], 1, "5000 lands in 2^12 bucket");

@@ -71,8 +71,8 @@
 //! # Observability
 //!
 //! Built with `--features telemetry`, the pipeline counts everything it
-//! does — tier answers, digits per conversion, §3.2 scale fixups, scratch-pool
-//! pressure — into lock-free process-wide counters. Without the feature
+//! does — tier answers, digits per conversion, §3.2 scale fixups, batch
+//! shards, reader paths — into lock-free process-wide counters. Without the feature
 //! every probe compiles to nothing:
 //!
 //! ```

@@ -1,8 +1,10 @@
 //! Regression proof of the zero-steady-state-allocation guarantee: after a
 //! warm-up pass has grown every recycled buffer in a [`fpp::DtoaContext`] to
 //! its high-water mark, converting the whole corpus again through the sink
-//! API performs **zero** heap allocations. The reader holds the same bar:
-//! the fast tiers, the special words and a warmed serial batch parse.
+//! API performs **zero** heap allocations. The `u64` tiers need no context
+//! at all: a thread that only prints their answers creates none, and the
+//! batch engine holds none. The reader holds the same bar: the fast tiers,
+//! the special words and a warmed serial batch parse.
 //!
 //! The proof is a counting `#[global_allocator]` wrapped around the system
 //! allocator. The test lives alone in this integration binary so no
@@ -81,6 +83,31 @@ fn allocations() -> u64 {
 
 #[test]
 fn sink_conversions_are_allocation_free_after_warm_up() {
+    // The tiers' power-of-five table is built once per process, at first
+    // use by either conversion direction; build it before counting.
+    let _ = fpp::bignum::pow5::entry(0);
+
+    // The first conversions on this thread: answers from the shortest tier
+    // and the fixed tier (17 digits) allocate their `String` and nothing
+    // else, so no thread context is created. Each text fits the `String`'s
+    // initial 24 bytes.
+    let before = allocations();
+    let shortest = FreeFormat::new().format(0.1);
+    let after = allocations();
+    assert_eq!(shortest, "0.1");
+    assert_eq!(after - before, 1, "the first FreeFormat::format");
+    let before = allocations();
+    let fixed = FixedFormat::new().format(0.1);
+    let after = allocations();
+    assert_eq!(fixed, "0.10000000000000000");
+    assert_eq!(after - before, 1, "the first FixedFormat::format");
+
+    // The batch engine holds no context: building it allocates nothing.
+    let before = allocations();
+    let mut formatter = BatchFormatter::new();
+    let after = allocations();
+    assert_eq!(after - before, 0, "BatchFormatter::new");
+
     let mut ctx = DtoaContext::new(10);
     let mut buf = [0u8; 512];
     // 17 significant digits: the fixed tier; 20 fraction digits
@@ -88,8 +115,8 @@ fn sink_conversions_are_allocation_free_after_warm_up() {
     let fixed17 = FixedFormat::new();
 
     // Warm-up: one pass over the corpus grows the power table, the Table 1
-    // registers, the scratch pool and the digit buffer to their high-water
-    // marks for these values.
+    // registers, the product register and the digit buffer to their
+    // high-water marks for these values.
     for &v in CORPUS {
         let mut sink = SliceSink::new(&mut buf);
         write_shortest(&mut ctx, &mut sink, v);
@@ -172,13 +199,11 @@ fn sink_conversions_are_allocation_free_after_warm_up() {
         );
     }
 
-    // The batch engine inherits the guarantee: once a formatter and its
-    // output have seen one batch of this shape, re-running the batch — the
-    // serial path and the CSV/JSON serializer frontends alike —
-    // must not touch the allocator. (The sharded path is exempt: spawning
-    // scoped threads allocates; its per-shard conversion state is the same
-    // recycled machinery proven here.)
-    let mut formatter = BatchFormatter::new();
+    // The batch engine inherits the guarantee: once its output has seen one
+    // batch of this shape, re-running the batch — the serial path and the
+    // CSV/JSON serializer frontends alike — must not touch the allocator.
+    // (The sharded path is exempt: spawning scoped threads allocates; each
+    // shard runs the same stateless tier into a retained segment.)
     let mut out = BatchOutput::new();
     let corpus32: Vec<f32> = CORPUS.iter().map(|&v| v as f32).collect();
     let mut csv_buf = [0u8; 2048];

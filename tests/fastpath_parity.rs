@@ -4,7 +4,7 @@
 //! The tier is exact by construction: for every eligible configuration
 //! (base 10, the estimate scaler, a nearest-family rounding mode) it
 //! answers every finite value itself, with no fallback. So each check here
-//! asserts two things: `try_write_fast` answered, and its bytes equal
+//! asserts two things: `try_write` answered, and its bytes equal
 //! `FreeFormat::fast_path(false)`'s, which runs the exact engine alone. The
 //! inputs are sampled, stratified over the tier's hazards (ties, exact
 //! endpoint hits, subnormals, binade edges), exhaustive over the 16-bit
@@ -120,7 +120,7 @@ impl Pair {
         let mut fbuf = [0u8; BUF];
         let mut fsink = SliceSink::new(&mut fbuf);
         assert!(
-            self.fast.try_write_fast(ctx, &mut fsink, v),
+            self.fast.try_write(&mut fsink, v),
             "the tier declined {v:?} under {:?}",
             self.fast
         );
@@ -432,13 +432,12 @@ fn exact_endpoint_hits_above_2_53() {
 /// formatters run the exact engine.
 #[test]
 fn directed_rounding_modes_never_use_fast_path() {
-    let mut ctx = DtoaContext::new(10);
     let mut buf = [0u8; BUF];
     for mode in [RoundingMode::TowardZero, RoundingMode::AwayFromZero] {
         let fast = FreeFormat::new().rounding(mode);
         let mut sink = SliceSink::new(&mut buf);
         assert!(
-            !fast.try_write_fast(&mut ctx, &mut sink, 0.3f64),
+            !fast.try_write(&mut sink, 0.3f64),
             "the tier must decline directed mode {mode:?}"
         );
     }
@@ -458,7 +457,7 @@ fn endpoint_values_are_answered_exactly() {
     let mut buf = [0u8; BUF];
     for v in [f64::NAN, f64::INFINITY, -0.0] {
         let mut sink = SliceSink::new(&mut buf);
-        assert!(pair.fast.try_write_fast(&mut ctx, &mut sink, v));
+        assert!(pair.fast.try_write(&mut sink, v));
     }
 }
 

@@ -96,33 +96,49 @@ fn uppercase_exponent_style() {
     assert_eq!(fmt.format(1e100), "1E100");
 }
 
-/// A context of another base switches to the builder's base: the bytes are
-/// the builder's, through the shortest tier, the exact engine and the
-/// fixed format, and a later call in the context's first base still works.
+/// Only the exact engine uses a context, so only the exact engine switches
+/// a context of another base to the builder's base. Answers from the
+/// shortest tier and the fixed tier leave a base-16 context at 16. The
+/// bytes are the builder's on every path, and a later call in the
+/// context's first base still works.
 #[test]
 fn context_switches_to_the_builders_base() {
-    let mut ctx = DtoaContext::new(16);
-    let mut out = Vec::new();
     for v in [0.1, 1e23, 5e-324, f64::MAX] {
-        for fmt in [FreeFormat::new(), FreeFormat::new().fast_path(false)] {
-            out.clear();
-            fmt.write_to(&mut ctx, &mut out, v);
-            assert_eq!(out, fmt.format(v).as_bytes(), "{v}");
-        }
-        let fixed = FixedFormat::new().significant_digits(17);
-        out.clear();
-        fixed.write_to(&mut ctx, &mut out, v);
-        assert_eq!(out, fixed.format(v).as_bytes(), "{v}");
-        // Positions below the float's own precision run the exact engine.
-        let fine = FixedFormat::new().significant_digits(25);
-        out.clear();
-        fine.write_to(&mut ctx, &mut out, v);
-        assert_eq!(out, fine.format(v).as_bytes(), "{v}");
+        let tier = FreeFormat::new();
+        let base = base_after(|c, o| tier.write_to(c, o, v), tier.format(v));
+        assert_eq!(base, 16, "the shortest tier answered {v}");
+        let exact = FreeFormat::new().fast_path(false);
+        let base = base_after(|c, o| exact.write_to(c, o, v), exact.format(v));
+        assert_eq!(base, 10, "the exact engine ran for {v}");
     }
-    assert_eq!(ctx.base(), 10);
-    let hex = FreeFormat::new().base(16);
-    out.clear();
-    hex.write_to(&mut ctx, &mut out, 0.5);
+    // 17 significant digits is every normal double's own precision, so
+    // the fixed tier answers. 25 digits, or 17 digits of a subnormal, are
+    // finer, so the exact engine runs.
+    let fixed = FixedFormat::new().significant_digits(17);
+    let fine = FixedFormat::new().significant_digits(25);
+    for v in [0.1, 1e23, f64::MAX] {
+        let base = base_after(|c, o| fixed.write_to(c, o, v), fixed.format(v));
+        assert_eq!(base, 16, "the fixed tier answered {v}");
+        let base = base_after(|c, o| fine.write_to(c, o, v), fine.format(v));
+        assert_eq!(base, 10, "the exact engine ran for {v} at 25 digits");
+    }
+    let tiny = 5e-324;
+    let base = base_after(|c, o| fixed.write_to(c, o, tiny), fixed.format(tiny));
+    assert_eq!(base, 10, "the exact engine ran for a subnormal");
+
+    let mut ctx = DtoaContext::new(10);
+    let mut out = Vec::new();
+    FreeFormat::new().base(16).write_to(&mut ctx, &mut out, 0.5);
     assert_eq!(out, b"0.8");
     assert_eq!(ctx.base(), 16);
+}
+
+/// Runs `write` against a fresh base-16 context, checks its bytes against
+/// `expect`, and returns the context's base afterwards.
+fn base_after(write: impl FnOnce(&mut DtoaContext, &mut Vec<u8>), expect: String) -> u64 {
+    let mut ctx = DtoaContext::new(16);
+    let mut out = Vec::new();
+    write(&mut ctx, &mut out);
+    assert_eq!(out, expect.as_bytes());
+    ctx.base()
 }

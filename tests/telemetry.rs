@@ -73,8 +73,9 @@ fn live_counters_agree_with_offline_recount() {
     let n = 20_000;
     let values: Vec<f64> = log_uniform_doubles(0xBEEF).take(n).collect();
 
-    // Contexts and formatters warm up real conversions at construction —
-    // build them all before resetting the counters.
+    // Build the context and the formatters before resetting the counters.
+    // (`warm_up` runs real conversions with recording paused; the batch
+    // formatter holds no context.)
     let mut ctx = DtoaContext::new(10);
     ctx.warm_up();
     let exact = FreeFormat::new().fast_path(false);
@@ -127,10 +128,6 @@ fn live_counters_agree_with_offline_recount() {
         snap.get(Counter::CoreScaleViolations),
         0,
         "§3.2 'within one' contract violated"
-    );
-    assert!(
-        snap.get(Counter::ScratchTakes) > 0,
-        "scratch arena instrumentation is wired"
     );
     assert_eq!(
         snap.get(Counter::CoreFastPathHits),
@@ -283,7 +280,6 @@ fn live_counters_agree_with_offline_recount() {
         "\"core_fastpath_fallbacks\"",
         "\"core_fixed_tier_hits\"",
         "\"core_fixed_tier_fallbacks\"",
-        "\"scratch_pool_hwm\"",
         "\"core_digit_len\"",
         "\"batch_shard_len_log2\"",
     ] {
