@@ -322,29 +322,26 @@ mod tests {
             min_shard_len: 2,
         });
         let exact = FreeFormat::new().fast_path(false);
-        let mut ctx = fpp_core::DtoaContext::new(10);
         let (mut out, mut sharded) = (BatchOutput::new(), BatchOutput::new());
         fmt.format_f64s(&f64s, &mut out);
         fmt.format_f64s_sharded(&f64s, &mut sharded);
         for (i, &v) in f64s.iter().enumerate() {
             let mut tier = Vec::new();
             assert!(fmt.format.try_write(&mut tier, v), "{v:e}");
-            let mut oracle = Vec::new();
-            exact.write_to(&mut ctx, &mut oracle, v);
-            assert_eq!(tier, oracle, "{v:e}");
-            assert_eq!(out.get(i).as_bytes(), oracle, "{v:e}");
-            assert_eq!(sharded.get(i).as_bytes(), oracle, "{v:e}");
+            let oracle = exact.format(v);
+            assert_eq!(tier, oracle.as_bytes(), "{v:e}");
+            assert_eq!(out.get(i), oracle, "{v:e}");
+            assert_eq!(sharded.get(i), oracle, "{v:e}");
         }
         fmt.format_f32s(&f32s, &mut out);
         fmt.format_f32s_sharded(&f32s, &mut sharded);
         for (i, &v) in f32s.iter().enumerate() {
             let mut tier = Vec::new();
             assert!(fmt.format.try_write(&mut tier, v), "{v:e}");
-            let mut oracle = Vec::new();
-            exact.write_to(&mut ctx, &mut oracle, v);
-            assert_eq!(tier, oracle, "{v:e}");
-            assert_eq!(out.get(i).as_bytes(), oracle, "{v:e}");
-            assert_eq!(sharded.get(i).as_bytes(), oracle, "{v:e}");
+            let oracle = exact.format_f32(v);
+            assert_eq!(tier, oracle.as_bytes(), "{v:e}");
+            assert_eq!(out.get(i), oracle, "{v:e}");
+            assert_eq!(sharded.get(i), oracle, "{v:e}");
         }
     }
 
