@@ -1,10 +1,10 @@
 //! Serializer frontends: stream whole columns as CSV or JSON Lines through
 //! any [`DigitSink`] — no intermediate `String`s, no per-row allocation.
 //!
-//! Both frontends drive [`BatchFormatter::format_one_f64`], so they share
-//! the formatter's warm context. Pair them with
-//! [`fpp_core::IoSink`] over a `BufWriter` to export straight to a file or
-//! socket.
+//! Both frontends drive [`BatchFormatter::format_one_f64`], which runs the
+//! context-free shortest tier, so they hold no conversion state. Pair them
+//! with [`fpp_core::IoSink`] over a `BufWriter` to export straight to a
+//! file or socket.
 
 use crate::formatter::BatchFormatter;
 use fpp_core::DigitSink;

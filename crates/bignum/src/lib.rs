@@ -10,8 +10,7 @@
 //!   addition, subtraction, comparison, shifts, schoolbook and Karatsuba
 //!   multiplication, short and Knuth Algorithm-D long division, binary
 //!   exponentiation and radix conversion for bases 2–36.
-//! * [`Int`] — signed integers layered over [`Nat`].
-//! * [`Rat`] — exact rationals layered over [`Int`]/[`Nat`], always kept in
+//! * [`Rat`] — exact non-negative rationals over [`Nat`], always kept in
 //!   lowest terms, used by the executable reference oracle of the printing
 //!   algorithm.
 //! * [`PowerTable`] — a memoising cache of `B^k` values, mirroring the
@@ -39,13 +38,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod int;
 mod nat;
 pub mod pow5;
 mod power_table;
 mod rational;
 
-pub use int::{Int, Sign};
 pub use nat::{Nat, ParseNatError};
 pub use power_table::PowerTable;
 pub use rational::Rat;

@@ -94,15 +94,6 @@ impl Nat {
         &self.limbs
     }
 
-    /// Number of limbs the backing buffer can hold without reallocating.
-    ///
-    /// This is a property of the buffer, not the value: a recycled register
-    /// keeps its capacity across values.
-    #[must_use]
-    pub fn limb_capacity(&self) -> usize {
-        self.limbs.capacity()
-    }
-
     /// Returns `true` when the value is zero.
     ///
     /// ```

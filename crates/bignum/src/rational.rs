@@ -1,26 +1,33 @@
-//! Exact rational arithmetic, layered over [`Int`] and [`Nat`].
+//! Exact non-negative rational arithmetic over [`Nat`].
 //!
 //! The paper's §2 reference algorithm is defined with exact rational
-//! arithmetic; [`Rat`] makes that algorithm directly executable so it can
-//! serve as the oracle for the optimized integer implementation.
+//! arithmetic on a positive value `v` and its rounding range
+//! `[low, high]`, so every quantity it computes is non-negative; [`Rat`]
+//! makes that algorithm directly executable so it can serve as the oracle
+//! for the optimized integer implementation. A subtraction that would go
+//! below zero panics, which checks that no oracle step leaves that domain.
 
-use crate::{Int, Nat, Sign};
+use crate::Nat;
 use std::cmp::Ordering;
 use std::fmt;
-use std::ops::{Add, Div, Mul, Neg, Sub};
+use std::ops::{Add, Div, Mul, Sub};
 
-/// An exact rational number, always stored in lowest terms with a strictly
-/// positive denominator.
+/// An exact non-negative rational number, always stored in lowest terms
+/// with a strictly positive denominator.
 ///
 /// ```
 /// use fpp_bignum::Rat;
 /// let third = Rat::from_ratio_u64(1, 3);
 /// let sum = &third + &third + &third;
-/// assert_eq!(sum, Rat::from(1i64));
+/// assert_eq!(sum, Rat::one());
 /// ```
+///
+/// # Panics
+///
+/// Like [`Nat`], subtraction panics when the result would be negative.
 #[derive(Clone, PartialEq, Eq, Hash)]
 pub struct Rat {
-    num: Int,
+    num: Nat,
     den: Nat, // > 0
 }
 
@@ -28,19 +35,13 @@ impl Rat {
     /// The value `0`.
     #[must_use]
     pub fn zero() -> Rat {
-        Rat {
-            num: Int::zero(),
-            den: Nat::one(),
-        }
+        Rat::from(Nat::zero())
     }
 
     /// The value `1`.
     #[must_use]
     pub fn one() -> Rat {
-        Rat {
-            num: Int::one(),
-            den: Nat::one(),
-        }
+        Rat::from(Nat::one())
     }
 
     /// Builds `num / den` reduced to lowest terms.
@@ -49,18 +50,15 @@ impl Rat {
     ///
     /// Panics if `den` is zero.
     #[must_use]
-    pub fn from_ratio(num: Int, den: Nat) -> Rat {
+    pub fn from_ratio(num: Nat, den: Nat) -> Rat {
         assert!(!den.is_zero(), "fpp_bignum: rational with zero denominator");
-        let g = num.magnitude().gcd(&den);
+        let g = num.gcd(&den);
         if g.is_one() {
             return Rat { num, den };
         }
-        let sign = num.sign();
-        let (nq, _) = num.magnitude().div_rem(&g);
-        let (dq, _) = den.div_rem(&g);
         Rat {
-            num: Int::from_sign_magnitude(sign, nq),
-            den: dq,
+            num: &num / &g,
+            den: &den / &g,
         }
     }
 
@@ -71,31 +69,13 @@ impl Rat {
     /// Panics if `den` is zero.
     #[must_use]
     pub fn from_ratio_u64(num: u64, den: u64) -> Rat {
-        Rat::from_ratio(Int::from(num), Nat::from(den))
-    }
-
-    /// The numerator (sign-carrying, in lowest terms).
-    #[must_use]
-    pub fn numer(&self) -> &Int {
-        &self.num
-    }
-
-    /// The denominator (positive, in lowest terms).
-    #[must_use]
-    pub fn denom(&self) -> &Nat {
-        &self.den
+        Rat::from_ratio(Nat::from(num), Nat::from(den))
     }
 
     /// Returns `true` when the value is zero.
     #[must_use]
     pub fn is_zero(&self) -> bool {
         self.num.is_zero()
-    }
-
-    /// Returns `true` for values strictly less than zero.
-    #[must_use]
-    pub fn is_negative(&self) -> bool {
-        self.num.is_negative()
     }
 
     /// Returns `true` when the value is an integer.
@@ -107,36 +87,33 @@ impl Rat {
     /// `⌊self⌋`, the greatest integer not exceeding the value.
     ///
     /// ```
-    /// use fpp_bignum::{Int, Rat};
-    /// assert_eq!(Rat::from_ratio(Int::from(7i64), 2u64.into()).floor(), Int::from(3i64));
-    /// assert_eq!(Rat::from_ratio(Int::from(-7i64), 2u64.into()).floor(), Int::from(-4i64));
+    /// use fpp_bignum::{Nat, Rat};
+    /// assert_eq!(Rat::from_ratio_u64(7, 2).floor(), Nat::from(3u64));
     /// ```
     #[must_use]
-    pub fn floor(&self) -> Int {
-        let (q, r) = self.num.magnitude().div_rem(&self.den);
-        match self.num.sign() {
-            Sign::Positive => Int::from(q),
-            Sign::Negative => {
-                let q = Int::from_sign_magnitude(Sign::Negative, q);
-                if r.is_zero() {
-                    q
-                } else {
-                    q - Int::one()
-                }
-            }
-        }
+    pub fn floor(&self) -> Nat {
+        &self.num / &self.den
     }
 
     /// `⌈self⌉`, the least integer not less than the value.
     #[must_use]
-    pub fn ceil(&self) -> Int {
-        -((-self).floor())
+    pub fn ceil(&self) -> Nat {
+        let (q, r) = self.num.div_rem(&self.den);
+        if r.is_zero() {
+            q
+        } else {
+            q + 1
+        }
     }
 
     /// The fractional part `self − ⌊self⌋`, in `[0, 1)`.
     #[must_use]
     pub fn fract(&self) -> Rat {
-        self - &Rat::from(self.floor())
+        // Already in lowest terms: gcd(num mod den, den) = gcd(num, den) = 1.
+        Rat {
+            num: &self.num % &self.den,
+            den: self.den.clone(),
+        }
     }
 
     /// Multiplicative inverse.
@@ -148,8 +125,8 @@ impl Rat {
     pub fn recip(&self) -> Rat {
         assert!(!self.is_zero(), "fpp_bignum: reciprocal of zero");
         Rat {
-            num: Int::from_sign_magnitude(self.num.sign(), self.den.clone()),
-            den: self.num.magnitude().clone(),
+            num: self.den.clone(),
+            den: self.num.clone(),
         }
     }
 
@@ -165,11 +142,11 @@ impl Rat {
     /// Panics if `base == 0` and `exp < 0`.
     #[must_use]
     pub fn pow_i32(base: u64, exp: i32) -> Rat {
-        let mag = Nat::from(base).pow(exp.unsigned_abs());
+        let mag = Rat::from(Nat::from(base).pow(exp.unsigned_abs()));
         if exp >= 0 {
-            Rat::from(Int::from(mag))
+            mag
         } else {
-            Rat::from(Int::from(mag)).recip()
+            mag.recip()
         }
     }
 
@@ -177,17 +154,12 @@ impl Rat {
     /// correctly rounded).
     #[must_use]
     pub fn to_f64_lossy(&self) -> f64 {
-        let mag = self.num.magnitude().to_f64_lossy() / self.den.to_f64_lossy();
-        if self.num.is_negative() {
-            -mag
-        } else {
-            mag
-        }
+        self.num.to_f64_lossy() / self.den.to_f64_lossy()
     }
 }
 
-impl From<Int> for Rat {
-    fn from(num: Int) -> Rat {
+impl From<Nat> for Rat {
+    fn from(num: Nat) -> Rat {
         Rat {
             num,
             den: Nat::one(),
@@ -195,36 +167,30 @@ impl From<Int> for Rat {
     }
 }
 
-impl From<Nat> for Rat {
-    fn from(n: Nat) -> Rat {
-        Rat::from(Int::from(n))
+impl From<u64> for Rat {
+    fn from(v: u64) -> Rat {
+        Rat::from(Nat::from(v))
     }
 }
-
-macro_rules! impl_from_prim {
-    ($($t:ty),*) => {$(
-        impl From<$t> for Rat {
-            fn from(v: $t) -> Rat {
-                Rat::from(Int::from(v))
-            }
-        }
-    )*};
-}
-impl_from_prim!(i32, i64, u32, u64);
 
 impl Add<&Rat> for &Rat {
     type Output = Rat;
     fn add(self, rhs: &Rat) -> Rat {
-        let num = &self.num * &Int::from(&rhs.den) + &rhs.num * &Int::from(&self.den);
-        let den = &self.den * &rhs.den;
-        Rat::from_ratio(num, den)
+        let num = &self.num * &rhs.den + &rhs.num * &self.den;
+        Rat::from_ratio(num, &self.den * &rhs.den)
     }
 }
 
 impl Sub<&Rat> for &Rat {
     type Output = Rat;
+    /// # Panics
+    ///
+    /// Panics if `rhs > self`: a `Rat` is never negative.
     fn sub(self, rhs: &Rat) -> Rat {
-        self + &(-rhs)
+        let num = (&self.num * &rhs.den)
+            .checked_sub(&(&rhs.num * &self.den))
+            .expect("fpp_bignum: Rat subtraction below zero");
+        Rat::from_ratio(num, &self.den * &rhs.den)
     }
 }
 
@@ -243,26 +209,6 @@ impl Div<&Rat> for &Rat {
     #[allow(clippy::suspicious_arithmetic_impl)] // a/b = a·(1/b) by definition
     fn div(self, rhs: &Rat) -> Rat {
         self * &rhs.recip()
-    }
-}
-
-impl Neg for &Rat {
-    type Output = Rat;
-    fn neg(self) -> Rat {
-        Rat {
-            num: -&self.num,
-            den: self.den.clone(),
-        }
-    }
-}
-
-impl Neg for Rat {
-    type Output = Rat;
-    fn neg(self) -> Rat {
-        Rat {
-            num: -self.num,
-            den: self.den,
-        }
     }
 }
 
@@ -296,9 +242,7 @@ forward_owned_rat_binop!(Div, div);
 impl Ord for Rat {
     fn cmp(&self, other: &Self) -> Ordering {
         // a/b ? c/d  <=>  a*d ? c*b  (b, d > 0)
-        let lhs = &self.num * &Int::from(&other.den);
-        let rhs = &other.num * &Int::from(&self.den);
-        lhs.cmp(&rhs)
+        (&self.num * &other.den).cmp(&(&other.num * &self.den))
     }
 }
 
@@ -317,25 +261,20 @@ impl Default for Rat {
 impl std::str::FromStr for Rat {
     type Err = crate::ParseNatError;
 
-    /// Parses `numerator[/denominator]` in decimal, either part signed.
+    /// Parses unsigned `numerator[/denominator]` in decimal.
     ///
     /// ```
     /// use fpp_bignum::Rat;
-    /// let r: Rat = "-6/8".parse()?;
-    /// assert_eq!(r.to_string(), "-3/4");
+    /// let r: Rat = "6/8".parse()?;
+    /// assert_eq!(r.to_string(), "3/4");
     /// assert_eq!("42".parse::<Rat>()?.to_string(), "42");
+    /// assert!("-6/8".parse::<Rat>().is_err());
     /// # Ok::<(), fpp_bignum::ParseNatError>(())
     /// ```
     fn from_str(s: &str) -> Result<Rat, Self::Err> {
         match s.split_once('/') {
-            None => Ok(Rat::from(s.parse::<Int>()?)),
-            Some((num, den)) => {
-                let num: Int = num.parse()?;
-                let den: Int = den.parse()?;
-                let sign_flip = den.is_negative();
-                let r = Rat::from_ratio(num, den.into_magnitude());
-                Ok(if sign_flip { -r } else { r })
-            }
+            None => Ok(Rat::from(s.parse::<Nat>()?)),
+            Some((num, den)) => Ok(Rat::from_ratio(num.parse()?, den.parse()?)),
         }
     }
 }
@@ -362,9 +301,11 @@ mod tests {
 
     #[test]
     fn reduction_to_lowest_terms() {
-        let r = Rat::from_ratio_u64(6, 8);
-        assert_eq!(r.numer(), &Int::from(3i64));
-        assert_eq!(r.denom(), &Nat::from(4u64));
+        assert_eq!(Rat::from_ratio_u64(6, 8).to_string(), "3/4");
+        let big = Nat::from(10u64).pow(40);
+        let r = Rat::from_ratio(&big * &Nat::from(3u64), &big * &Nat::from(4u64));
+        assert_eq!(r, Rat::from_ratio_u64(3, 4));
+        assert_eq!(r.to_string(), "3/4");
     }
 
     #[test]
@@ -373,39 +314,34 @@ mod tests {
         let b = Rat::from_ratio_u64(2, 5);
         assert_eq!(&a + &b, Rat::from_ratio_u64(29, 35));
         assert_eq!(&a - &a, Rat::zero());
+        assert_eq!(&a - &b, Rat::from_ratio_u64(1, 35));
         assert_eq!(&a * &b, Rat::from_ratio_u64(6, 35));
         assert_eq!(&a / &a, Rat::one());
         assert_eq!(&(&a / &b) * &b, a);
     }
 
     #[test]
-    fn negative_values_normalize_sign_to_numerator() {
-        let r = Rat::from_ratio(Int::from(-4i64), Nat::from(6u64));
-        assert_eq!(r.numer(), &Int::from(-2i64));
-        assert_eq!(r.denom(), &Nat::from(3u64));
-        assert!(r.is_negative());
-        assert!((-&r) > Rat::zero());
+    #[should_panic(expected = "Rat subtraction below zero")]
+    fn subtraction_below_zero_panics() {
+        let _ = Rat::from_ratio_u64(2, 5) - Rat::from_ratio_u64(3, 7);
     }
 
     #[test]
     fn floor_ceil_fract() {
         let r = Rat::from_ratio_u64(7, 2);
-        assert_eq!(r.floor(), Int::from(3i64));
-        assert_eq!(r.ceil(), Int::from(4i64));
+        assert_eq!(r.floor(), Nat::from(3u64));
+        assert_eq!(r.ceil(), Nat::from(4u64));
         assert_eq!(r.fract(), Rat::from_ratio_u64(1, 2));
-        let n = -&r;
-        assert_eq!(n.floor(), Int::from(-4i64));
-        assert_eq!(n.ceil(), Int::from(-3i64));
-        assert_eq!(n.fract(), Rat::from_ratio_u64(1, 2));
-        assert_eq!(Rat::from(5i64).floor(), Int::from(5i64));
-        assert_eq!(Rat::from(5i64).ceil(), Int::from(5i64));
-        assert!(Rat::from(5i64).fract().is_zero());
+        assert_eq!(Rat::from(5u64).floor(), Nat::from(5u64));
+        assert_eq!(Rat::from(5u64).ceil(), Nat::from(5u64));
+        assert!(Rat::from(5u64).fract().is_zero());
+        assert!(Rat::zero().ceil().is_zero());
     }
 
     #[test]
     fn ordering_cross_multiplies() {
         assert!(Rat::from_ratio_u64(1, 3) < Rat::from_ratio_u64(1, 2));
-        assert!(Rat::from(-1i64) < Rat::from_ratio_u64(1, 1000));
+        assert!(Rat::zero() < Rat::from_ratio_u64(1, 1000));
         assert_eq!(
             Rat::from_ratio_u64(2, 4).cmp(&Rat::from_ratio_u64(1, 2)),
             Ordering::Equal
@@ -414,7 +350,7 @@ mod tests {
 
     #[test]
     fn pow_i32_negative_exponents() {
-        assert_eq!(Rat::pow_i32(2, 10), Rat::from(1024i64));
+        assert_eq!(Rat::pow_i32(2, 10), Rat::from(1024u64));
         assert_eq!(Rat::pow_i32(2, -3), Rat::from_ratio_u64(1, 8));
         assert_eq!(Rat::pow_i32(7, 0), Rat::one());
     }
@@ -422,14 +358,13 @@ mod tests {
     #[test]
     fn display_forms() {
         assert_eq!(Rat::from_ratio_u64(1, 3).to_string(), "1/3");
-        assert_eq!(Rat::from(7i64).to_string(), "7");
-        assert_eq!((-Rat::from_ratio_u64(1, 3)).to_string(), "-1/3");
+        assert_eq!(Rat::from(7u64).to_string(), "7");
     }
 
     #[test]
     fn half_representation_of_float() {
         // v = 3 * 2^-1 = 1.5 exactly
-        let v = Rat::from(3i64) * Rat::pow_i32(2, -1);
+        let v = Rat::from(3u64) * Rat::pow_i32(2, -1);
         assert_eq!(v, Rat::from_ratio_u64(3, 2));
         assert_eq!(v.to_f64_lossy(), 1.5);
     }

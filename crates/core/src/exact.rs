@@ -56,8 +56,7 @@ pub fn free_digits_exact(v: &SoftFloat, base: u64, inc: Inclusivity, tie: TieBre
     loop {
         weight = &weight / &b;
         let scaled = &q * &b;
-        let d = scaled.floor();
-        let d = u8::try_from(u64::try_from(d.magnitude()).expect("digit fits u64"))
+        let d = u8::try_from(u64::try_from(&scaled.floor()).expect("digit fits u64"))
             .expect("digit fits u8");
         q = scaled.fract();
 
@@ -183,8 +182,8 @@ pub fn fixed_digits_exact(v: &SoftFloat, base: u64, j: i32, tie: TieBreak) -> Fi
     loop {
         weight = &weight / &b;
         let scaled = &q * &b;
-        let d = u8::try_from(u64::try_from(scaled.floor().magnitude()).expect("digit"))
-            .expect("digit fits u8");
+        let d =
+            u8::try_from(u64::try_from(&scaled.floor()).expect("digit")).expect("digit fits u8");
         q = scaled.fract();
         let v_down = &value - &(&q * &weight);
         let v_up = &v_down + &weight;

@@ -347,7 +347,7 @@ impl ScalingStrategy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fpp_bignum::{Int, Rat};
+    use fpp_bignum::Rat;
 
     fn sf(v: f64) -> SoftFloat {
         SoftFloat::from_f64(v).expect("positive finite")
@@ -356,10 +356,10 @@ mod tests {
     /// Exact rational check that a state encodes (v, m+, m-) faithfully.
     fn assert_initial_state_exact(v: &SoftFloat) {
         let st = initial_state(v);
-        let s = Rat::from(Int::from(&st.s));
-        let r = Rat::from(Int::from(&st.r));
-        let mp = Rat::from(Int::from(&st.m_plus));
-        let mm = Rat::from(Int::from(&st.m_minus));
+        let s = Rat::from(st.s.clone());
+        let r = Rat::from(st.r.clone());
+        let mp = Rat::from(st.m_plus.clone());
+        let mm = Rat::from(st.m_minus.clone());
         let nb = v.neighbors();
         assert_eq!(&r / &s, v.value(), "r/s = v for {v}");
         assert_eq!(&mp / &s, nb.m_plus, "m+/s for {v}");
@@ -413,8 +413,8 @@ mod tests {
             assert!(high <= bk, "{v} base {base} {strategy:?}: high <= B^k");
             assert!(high > bk1, "{v} base {base} {strategy:?}: high > B^(k-1)");
         }
-        let r = Rat::from(Int::from(&st.r));
-        let s = Rat::from(Int::from(&st.s));
+        let r = Rat::from(st.r.clone());
+        let s = Rat::from(st.s.clone());
         assert_eq!(&r / &s, vv.value() / bk1, "r/s = v/B^(k-1)");
     }
 

@@ -2,7 +2,7 @@
 //! exponent range — the canonical input to the printing algorithm.
 
 use crate::{Decoded, FloatFormat};
-use fpp_bignum::{Int, Nat, Rat};
+use fpp_bignum::{Nat, Rat};
 use std::fmt;
 
 /// A positive floating-point value `v = f × bᵉ` described exactly, in the
@@ -207,7 +207,7 @@ impl SoftFloat {
     /// The exact value `f × bᵉ` as a rational.
     #[must_use]
     pub fn value(&self) -> Rat {
-        Rat::from(Int::from(&self.f)) * Rat::pow_i32(self.b, self.e)
+        Rat::from(self.f.clone()) * Rat::pow_i32(self.b, self.e)
     }
 
     /// `true` when the mantissa sits at the lower normalization boundary
@@ -268,12 +268,8 @@ impl SoftFloat {
         self.value() + Rat::pow_i32(self.b, self.e)
     }
 
-    /// The predecessor value `v⁻` as an exact rational.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` is the smallest positive value of its format (its
-    /// predecessor, zero, is not a `SoftFloat`).
+    /// The predecessor value `v⁻` as an exact rational: zero for the
+    /// smallest positive value.
     #[must_use]
     pub fn predecessor_value(&self) -> Rat {
         let gap = if self.has_narrow_low_gap() {
@@ -281,12 +277,7 @@ impl SoftFloat {
         } else {
             Rat::pow_i32(self.b, self.e)
         };
-        let v = self.value() - gap;
-        assert!(
-            !v.is_negative(),
-            "fpp_float: predecessor of the smallest positive value"
-        );
-        v
+        self.value() - gap
     }
 }
 
@@ -346,7 +337,7 @@ mod tests {
     #[test]
     fn value_of_one_and_tenth() {
         let one = SoftFloat::from_f64(1.0).unwrap();
-        assert_eq!(one.value(), Rat::from(1i64));
+        assert_eq!(one.value(), Rat::from(1u64));
         assert!(one.is_boundary());
         let tenth = SoftFloat::from_f64(0.1).unwrap();
         // 0.1 rounds up, so the stored value is slightly above 1/10.
@@ -395,6 +386,15 @@ mod tests {
     }
 
     #[test]
+    fn predecessor_of_the_smallest_positive_value_is_zero() {
+        let v = SoftFloat::from_f64(5e-324).unwrap();
+        assert_eq!(v.predecessor_value(), Rat::zero());
+        let v = SoftFloat::from_float(crate::F16::from_bits(1)).unwrap();
+        assert_eq!(v.value(), Rat::pow_i32(2, -24));
+        assert_eq!(v.predecessor_value(), Rat::zero());
+    }
+
+    #[test]
     fn denormal_parts() {
         let v = SoftFloat::from_f64(f64::from_bits(3)).unwrap();
         assert_eq!(v.mantissa(), &Nat::from(3u64));
@@ -414,7 +414,7 @@ mod tests {
             nb.low,
             Rat::from_ratio_u64(999, 10) + Rat::from_ratio_u64(1, 20)
         );
-        assert_eq!(v.successor_value(), Rat::from(101i64));
+        assert_eq!(v.successor_value(), Rat::from(101u64));
         assert_eq!(v.predecessor_value(), Rat::from_ratio_u64(999, 10));
     }
 

@@ -84,6 +84,15 @@ pub(crate) fn scanned_to_float<F: LemireFloat>(sc: &ScannedDecimal) -> Option<F>
 
 /// [`scanned_to_float`] for a generic target: `None` (take the general
 /// route) unless `F` is one of the hardware formats.
+///
+/// The tier stays on `f64` and `f32` because its subnormal branch rounds
+/// half up, which is right only when no exact subnormal midpoint has a
+/// `u64` coefficient. Such a midpoint `(2m+1)·2^(MIN_EXP−1)` needs the
+/// coefficient `(2m+1)·5^(1−MIN_EXP)`, above `2^64` for both hardware
+/// formats. For binary16 it is not (`5^25 < 2^64`): through this tier,
+/// `149011611938476562500000000000e-36`, the midpoint of the subnormals
+/// `0x0002` and `0x0003`, would read as `0x0003` instead of the even
+/// `0x0002`.
 pub(crate) fn scanned_to_any<F: FloatFormat>(sc: &ScannedDecimal) -> Option<F> {
     if F::PRECISION == 53 && F::MIN_EXP == -1074 {
         scanned_to_float::<f64>(sc).map(reencode::<f64, F>)

@@ -164,6 +164,14 @@ pub(crate) fn eisel_lemire<F: LemireFloat>(w: u64, q: i64) -> F {
             return F::from_biased(0, 0);
         }
         mantissa >>= -power2 + 1;
+        // Round half up with no round-to-even correction: no literal with a
+        // `u64` coefficient is exactly halfway between two subnormals. The
+        // midpoint `(2m+1)·2^(MIN_EXP−1)` is `(2m+1)·5^(1−MIN_EXP)` over a
+        // power of ten, and its coefficient keeps that power of five after
+        // any trailing zeros are stripped: `5^1075` for `f64` and `5^150`
+        // for `f32`, both above `2^64`. binary16 breaks this (`5^25 <
+        // 2^64`), which is why `scanned_to_any` routes only `f64` and `f32`
+        // here.
         mantissa += mantissa & 1; // round up on half
         mantissa >>= 1;
         // Rounding can carry back up into the smallest normal.

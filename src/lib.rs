@@ -51,8 +51,9 @@
 //!
 //! For whole columns of floats — CSV/JSON export, telemetry dumps — the
 //! [`batch`] engine converts slices into one contiguous arena with an
-//! offsets table, reusing a warm context per shard. Output is
-//! byte-identical to [`print_shortest`] per value:
+//! offsets table. Every value goes through the context-free shortest tier,
+//! so the engine holds no conversion context. Output is byte-identical to
+//! [`print_shortest`] per value:
 //!
 //! ```
 //! use fpp::{BatchFormatter, BatchOutput};

@@ -2,7 +2,7 @@
 //! subset of them.
 #![allow(dead_code)]
 
-use fpp::bignum::{Int, Nat, Rat};
+use fpp::bignum::{Nat, Rat};
 use fpp::float::SoftFloat;
 
 /// `0.d₁…dₙ × Bᵏ` as an exact rational.
@@ -12,7 +12,7 @@ pub fn digits_value(digits: &[u8], k: i32, base: u64) -> Rat {
         coeff.mul_u64(base);
         coeff.add_u64(u64::from(digit));
     }
-    Rat::from(Int::from(coeff)) * Rat::pow_i32(base, k - digits.len() as i32)
+    Rat::from(coeff) * Rat::pow_i32(base, k - digits.len() as i32)
 }
 
 /// Every representable positive value of a toy format with input base `b`
