@@ -56,11 +56,15 @@ cargo test --release -q --test printf_diff -- --ignored
 
 echo "== reader: parse parity + round-trip batteries (release) =="
 # The Eisel–Lemire tiers against the exact big-integer oracle and std:
-# generated literals, adversarial halfway corpus, the sampled 10M-value
-# round trip, the fast-grammar edge cases, the scanner's 8-byte and
-# 19-digit boundaries, and the seeded mutation fuzzer — plus its 2M-mutant
-# sweep and every 29th non-negative f32 round trip (ignored by default —
-# they need release-mode speed).
+# the crate's unit tests (among them the scanner's bitmap path against its
+# general path on every generated entry of 1–32 bytes), generated literals,
+# adversarial halfway corpus, the sampled 10M-value round trip, the
+# fast-grammar edge cases, the scanner's boundaries (8-byte digit runs, the
+# 19-digit window, 8- and 24-byte entries, 8-digit exponents), and the
+# seeded mutation fuzzer — plus its 2M-mutant sweep and every 29th
+# non-negative f32 round trip (ignored by default — they need release-mode
+# speed).
+cargo test --release -q -p fpp-reader
 cargo test --release -q --test reader_differential
 cargo test --release -q --test reader_adversarial
 cargo test --release -q --test reader_roundtrip

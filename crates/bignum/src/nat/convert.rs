@@ -119,7 +119,7 @@ impl Nat {
             if c == '_' {
                 continue;
             }
-            let d = c.to_digit(radix).ok_or(ParseNatError { _priv: () })?;
+            let d = c.to_digit(radix).ok_or(ParseNatError::new())?;
             any = true;
             pending = pending * radix as u64 + d as u64;
             pending_count += 1;
@@ -131,7 +131,7 @@ impl Nat {
             }
         }
         if !any {
-            return Err(ParseNatError { _priv: () });
+            return Err(ParseNatError::new());
         }
         if pending_count > 0 {
             out.mul_u64((radix as u64).pow(pending_count));
@@ -194,15 +194,22 @@ fn chunk_len(radix: u32) -> u32 {
     len
 }
 
-/// Error produced when parsing a [`Nat`] from a string fails.
+/// Error produced when parsing a [`Nat`] or a [`crate::Rat`] from a string
+/// fails: an empty string, an invalid digit, or a zero denominator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ParseNatError {
     _priv: (),
 }
 
+impl ParseNatError {
+    pub(crate) const fn new() -> ParseNatError {
+        ParseNatError { _priv: () }
+    }
+}
+
 impl fmt::Display for ParseNatError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str("invalid digit or empty string while parsing a natural number")
+        f.write_str("invalid digit, empty string or zero denominator while parsing a number")
     }
 }
 

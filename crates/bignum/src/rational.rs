@@ -261,7 +261,8 @@ impl Default for Rat {
 impl std::str::FromStr for Rat {
     type Err = crate::ParseNatError;
 
-    /// Parses unsigned `numerator[/denominator]` in decimal.
+    /// Parses unsigned `numerator[/denominator]` in decimal. A zero
+    /// denominator is an error, not a panic.
     ///
     /// ```
     /// use fpp_bignum::Rat;
@@ -269,12 +270,20 @@ impl std::str::FromStr for Rat {
     /// assert_eq!(r.to_string(), "3/4");
     /// assert_eq!("42".parse::<Rat>()?.to_string(), "42");
     /// assert!("-6/8".parse::<Rat>().is_err());
+    /// assert!("1/0".parse::<Rat>().is_err());
+    /// assert!("0/0".parse::<Rat>().is_err());
     /// # Ok::<(), fpp_bignum::ParseNatError>(())
     /// ```
     fn from_str(s: &str) -> Result<Rat, Self::Err> {
         match s.split_once('/') {
             None => Ok(Rat::from(s.parse::<Nat>()?)),
-            Some((num, den)) => Ok(Rat::from_ratio(num.parse()?, den.parse()?)),
+            Some((num, den)) => {
+                let (num, den): (Nat, Nat) = (num.parse()?, den.parse()?);
+                if den.is_zero() {
+                    return Err(crate::ParseNatError::new());
+                }
+                Ok(Rat::from_ratio(num, den))
+            }
         }
     }
 }

@@ -38,6 +38,8 @@ fn from_str_error_paths() {
     assert!("1/".parse::<Rat>().is_err());
     assert!("/2".parse::<Rat>().is_err());
     assert!("-6/8".parse::<Rat>().is_err()); // Rat is non-negative
+    assert!("1/0".parse::<Rat>().is_err()); // a zero denominator is an error
+    assert!("0/0".parse::<Rat>().is_err());
     let err = "xyz".parse::<Nat>().unwrap_err();
     assert!(!err.to_string().is_empty());
 }

@@ -18,21 +18,45 @@
 //! scanner therefore never turns a valid literal into an error or vice
 //! versa, and every literal it accepts is ASCII (so valid UTF-8).
 //!
-//! The scan is structured rather than a per-byte state machine, which
-//! would branch on every byte:
+//! There are two paths, and both give the same [`ScannedDecimal`]:
 //!
-//! 1. **Layout.** Find the integer digit run, the optional `.` and fraction
-//!    run, and the optional exponent. Digit runs are measured eight bytes
-//!    at a time (SWAR, "SIMD within a register", after Lemire's *Number
-//!    Parsing at a Gigabyte per Second*): one `u64` load tests all eight
-//!    bytes for `'0'..='9'` at once, and the lowest flagged byte is the end
-//!    of the run.
-//! 2. **Accumulation.** Strip leading zeros (they never take one of the 19
-//!    slots; in the fraction they only move the scale), then fold the first
-//!    19 significant digits into the `u64`, converting eight digits per
-//!    step with a multiply-shift reduction wherever eight remain.
-//! 3. **Tail.** Digits past the 19th only set `truncated` (if any is
-//!    non-zero) and, in the integer part, raise the exponent.
+//! - **The bitmap path** takes the common entry: 8–24 bytes, at most 19
+//!   significant digits and at most 8 exponent digits. Its control flow
+//!   does not follow where the point, the exponent or the runs' ends fall,
+//!   so a column of literals of mixed shapes costs few branch
+//!   mispredictions.
+//!   Three overlapping `u64` loads (at `0`, `min(8, len − 8)` and
+//!   `len − 8`) cover the entry. Every byte is classified exactly as digit
+//!   or non-digit eight at a time (SWAR, "SIMD within a register", after
+//!   Lemire's *Number Parsing at a Gigabyte per Second*), and the flags
+//!   are gathered into one bitmap with a bit per byte, bits at or above
+//!   the length set. `trailing_zeros` of the bitmap, shifted to a run's
+//!   start, is that run's end: the integer run, the fraction run and the
+//!   exponent's digits come from it with no further word load. A run's
+//!   last `r ≤ 8` digits are one load of the eight bytes ending at the
+//!   run's end, with the bytes before the run replaced by `'0'`; the
+//!   eight before those, and the at most three before them, take one
+//!   load each. Apart from the bounds checks of single-byte reads, the
+//!   only branches left on the layout ask whether a run is longer than 8
+//!   or 16 digits, and whether the entry has more than 19 digits with
+//!   leading zeros counted (only such an entry strips them). The exponent
+//!   (at most 8 digits, so in the entry's last word) is read the same way,
+//!   and its sign applied as `(e ^ −neg) + neg`. Anything the bitmap path
+//!   does not accept, well-formed or not, goes to the general path.
+//! - **The general path** serves every other entry: shorter than 8 or
+//!   longer than 24 bytes, more than 19 significant digits, more than 8
+//!   exponent digits, and every malformed entry. It is structured rather
+//!   than a per-byte state machine:
+//!
+//!   1. **Layout.** Find the integer digit run, the optional `.` and
+//!      fraction run, and the optional exponent. Digit runs are measured
+//!      eight bytes at a time with the same classifier: the lowest
+//!      flagged byte is the end of the run.
+//!   2. **Accumulation.** Strip leading zeros (in the fraction they only
+//!      move the scale), then fold the first 19 significant digits into
+//!      the `u64`, eight digits per step wherever eight remain.
+//!   3. **Tail.** Digits past the 19th only set `truncated` (if any is
+//!      non-zero) and, in the integer part, raise the exponent.
 
 /// Cap on the scanned exponent magnitude, mirroring `parse_exponent`'s
 /// clamp: large enough that any value beyond it is a certain overflow or
@@ -44,6 +68,20 @@ const MAX_DIGITS: usize = 19;
 
 /// Eight ASCII `'0'` bytes.
 const ZEROS: u64 = 0x3030_3030_3030_3030;
+
+/// The high bit of every byte.
+const HIGH_BITS: u64 = 0x8080_8080_8080_8080;
+
+/// `10^r` for every digit count a `u64` holds.
+const POW10: [u64; MAX_DIGITS + 1] = {
+    let mut table = [1; MAX_DIGITS + 1];
+    let mut r = 1;
+    while r <= MAX_DIGITS {
+        table[r] = table[r - 1] * 10;
+        r += 1;
+    }
+    table
+};
 
 /// A finite base-10 literal reduced to `± mantissa × 10^exponent`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -64,6 +102,150 @@ pub(crate) struct ScannedDecimal {
 /// Scans a plain finite decimal literal. Returns `None` for anything the
 /// fast grammar does not cover (the caller re-parses generally).
 pub(crate) fn scan_decimal(bytes: &[u8]) -> Option<ScannedDecimal> {
+    scan_bitmap(bytes).or_else(|| scan_general(bytes))
+}
+
+/// The bitmap path: `Some` only for a well-formed literal of 8–24 bytes
+/// with at most 19 significant digits and at most 8 exponent digits. Its
+/// checks are folded into one test at the end. The only other branches
+/// that depend on the layout are the bounds checks of the single-byte
+/// reads, the test for more than 19 digits with leading zeros counted,
+/// and the run-length tests of [`accumulate_run`].
+#[inline]
+fn scan_bitmap(bytes: &[u8]) -> Option<ScannedDecimal> {
+    let len = bytes.len();
+    if !(8..=24).contains(&len) {
+        return None;
+    }
+    let first = word(bytes, 0);
+    let mid = len.min(16) - 8;
+    let last = word(bytes, len - 8);
+    // Bit `i` is set when byte `i` is not a digit or lies past the end.
+    // The three words overlap, and agree where they do: each byte is
+    // classified on its own.
+    let non_digits = gather(non_digit_flags(first))
+        | gather(non_digit_flags(word(bytes, mid))) << mid
+        | gather(non_digit_flags(last)) << (len - 8)
+        | u32::MAX << len;
+    // `at <= len` wherever this is called, and bit `len` is set.
+    let run_end = |at: usize| at + (non_digits >> at).trailing_zeros() as usize;
+    let byte = |at: usize| bytes.get(at).copied().unwrap_or(0);
+
+    let sign = first as u8;
+    let negative = sign == b'-';
+    let int_start = usize::from(negative | (sign == b'+'));
+    let int_end = run_end(int_start);
+    let frac_start = int_end + usize::from(byte(int_end) == b'.');
+    let frac_end = run_end(frac_start);
+    let digits = (int_end - int_start) + (frac_end - frac_start);
+    // Leading zeros never take one of the 19 slots. Few entries have more
+    // than 19 digits with them counted, so only those strip them.
+    let (mut int_from, mut frac_from) = (int_start, frac_start);
+    if digits > MAX_DIGITS {
+        int_from = int_end - strip_leading_zeros(&bytes[int_start..int_end]).len();
+        if int_from == int_end {
+            frac_from = frac_end - strip_leading_zeros(&bytes[frac_start..frac_end]).len();
+        }
+    }
+    let significant = (int_end - int_from) + (frac_end - frac_from);
+
+    let exp_sign = byte(frac_end + 1);
+    let exp_negative = exp_sign == b'-';
+    let exp_start = (frac_end + 1 + usize::from(exp_negative | (exp_sign == b'+'))).min(len);
+    let exp_digits = len - exp_start;
+    let exponent_ok = (frac_end == len)
+        | ((byte(frac_end) | 0x20 == b'e')
+            & (1..=8).contains(&exp_digits)
+            & (run_end(exp_start) == len));
+    if !((digits > 0) & (significant <= MAX_DIGITS) & exponent_ok) {
+        return None;
+    }
+
+    let neg = i64::from(exp_negative);
+    // Without an exponent, `exp_digits` is 0 and so is the value.
+    let exp = (eight_digits(zero_pad(last, exp_digits)) as i64 ^ -neg) + neg;
+    let mantissa = accumulate_run(
+        bytes,
+        accumulate_run(bytes, 0, int_from, int_end),
+        frac_from,
+        frac_end,
+    );
+    Some(ScannedDecimal {
+        negative,
+        mantissa,
+        // With at most 19 digits nothing is dropped, and every fraction
+        // digit, leading zeros included, scales down.
+        exponent: exp - (frac_end - frac_start) as i64,
+        truncated: false,
+    })
+}
+
+/// The eight bytes at `bytes[at..at + 8]`, little-endian.
+fn word(bytes: &[u8], at: usize) -> u64 {
+    u64::from_le_bytes(bytes[at..at + 8].try_into().expect("eight bytes"))
+}
+
+/// `m` followed by the ASCII digits `bytes[from..to]` (the caller keeps
+/// the total within [`MAX_DIGITS`] and `bytes.len() >= 8`): the run's last
+/// eight digits, the eight before them and the rest, each from one load of
+/// the window ending where they end. The branches ask only whether the run
+/// is longer than 8 or 16 digits; a column of shortest-printed doubles
+/// answers both the same way for nearly every fraction.
+#[inline(always)]
+fn accumulate_run(bytes: &[u8], m: u64, from: usize, to: usize) -> u64 {
+    let r = to - from;
+    let mut v = digits_before(bytes, to, r.min(8));
+    if r > 8 {
+        v += digits_before(bytes, to - 8, (r - 8).min(8)) * 100_000_000;
+        if r > 16 {
+            v += digits_before(bytes, to - 16, r - 16) * 10_000_000_000_000_000;
+        }
+    }
+    m * POW10[r] + v
+}
+
+/// The value of the `n <= 8` ASCII digits ending at `bytes[to]`, from one
+/// load: the eight bytes ending at `to`, or, for `to < 8`, the first `to`
+/// bytes moved to the top. The move is a multiply by a table entry rather
+/// than a variable shift, which measured slower on the baseline x86-64
+/// target. `to == 0` only when `n == 0`, and the entry for 0 clears the
+/// window.
+#[inline(always)]
+fn digits_before(bytes: &[u8], to: usize, n: usize) -> u64 {
+    /// `SHIFT_UP[t]` moves the first `t` bytes of a word to its top.
+    const SHIFT_UP: [u64; 9] = {
+        let mut table = [0; 9];
+        let mut t = 1;
+        while t <= 8 {
+            table[t] = 1 << (8 * (8 - t));
+            t += 1;
+        }
+        table
+    };
+    let window = word(bytes, to.max(8) - 8).wrapping_mul(SHIFT_UP[to.min(8)]);
+    eight_digits(zero_pad(window, n))
+}
+
+/// `v` with all but its top `n <= 8` bytes replaced by `'0'`: the value
+/// of the last `n` digits of a little-endian word through
+/// [`eight_digits`].
+fn zero_pad(v: u64, n: usize) -> u64 {
+    /// `TOP_BYTES[n]` keeps the top `n` bytes of a word.
+    const TOP_BYTES: [u64; 9] = {
+        let mut table = [0; 9];
+        let mut n = 1;
+        while n <= 8 {
+            table[n] = u64::MAX << (8 * (8 - n));
+            n += 1;
+        }
+        table
+    };
+    let keep = TOP_BYTES[n];
+    (v & keep) | (ZEROS & !keep)
+}
+
+/// The general path, for every entry the bitmap path does not take.
+fn scan_general(bytes: &[u8]) -> Option<ScannedDecimal> {
     let (negative, body) = match bytes.split_first()? {
         (b'+', body) => (false, body),
         (b'-', body) => (true, body),
@@ -134,27 +316,36 @@ fn scan_exponent(s: &[u8]) -> Option<i64> {
 fn digit_run(s: &[u8]) -> usize {
     let mut n = 0;
     while let Some(chunk) = s[n..].first_chunk::<8>() {
-        let mask = non_digit_mask(u64::from_le_bytes(*chunk));
-        if mask != 0 {
+        let flags = non_digit_flags(u64::from_le_bytes(*chunk));
+        if flags != 0 {
             // Little-endian: the lowest flagged byte is the first non-digit.
-            return n + (mask.trailing_zeros() / 8) as usize;
+            return n + (flags.trailing_zeros() / 8) as usize;
         }
         n += 8;
     }
     n + s[n..].iter().take_while(|b| b.is_ascii_digit()).count()
 }
 
-/// Flags the bytes of `v` (eight bytes loaded little-endian) outside
-/// `'0'..='9'`: zero exactly when all eight are digits, and otherwise the
-/// lowest set bit is the high bit of the first non-digit byte (later bytes
-/// may be flagged spuriously). Adding `0x46` sets the high bit of a byte
-/// above `'9'` (`0x3A + 0x46 = 0x80`); subtracting `0x30` borrows into it
-/// for a byte below `'0'`. Bytes at or above `0xBA` wrap the addition, but
-/// then the subtraction leaves their high bit set. No carry or borrow
-/// reaches the first non-digit byte, because every byte before it is a
+/// Flags exactly the bytes of `v` outside `'0'..='9'`: the high bit of
+/// each such byte is set, and no other bit. Each byte is classified on its
+/// own. With its high bit cleared, adding `0x46` carries into bit 7
+/// exactly for a byte above `'9'` (`0x3A + 0x46 = 0x80`), and adding
+/// `0x50` exactly for a byte at or above `'0'` (`0x30 + 0x50 = 0x80`);
+/// neither sum leaves its byte (`0x7F + 0x50 < 0x100`), so no carry
+/// crosses into a neighbour. A byte with its high bit set is never a
 /// digit.
-fn non_digit_mask(v: u64) -> u64 {
-    (v.wrapping_add(0x4646_4646_4646_4646) | v.wrapping_sub(ZEROS)) & 0x8080_8080_8080_8080
+fn non_digit_flags(v: u64) -> u64 {
+    let low = v & !HIGH_BITS;
+    (v | (low + 0x4646_4646_4646_4646) | !(low + 0x5050_5050_5050_5050)) & HIGH_BITS
+}
+
+/// The flags of [`non_digit_flags`] as one bit per byte: bit `i` is byte
+/// `i`'s flag. The multiplier adds a copy of the flags shifted up by `7j`
+/// for each `j` in `0..8`; byte `i`'s flag (bit `8i + 7`) reaches bit
+/// `56 + i` in copy `j = 7 − i`, and no two copies set the same bit, so
+/// nothing carries.
+fn gather(flags: u64) -> u32 {
+    (flags.wrapping_mul(0x0002_0408_1020_4081) >> 56) as u32
 }
 
 /// The value of eight ASCII digits loaded little-endian (first digit in the
@@ -296,18 +487,120 @@ mod tests {
         assert_eq!(eight_digits(u64::from_le_bytes(*b"00000000")), 0);
         assert_eq!(eight_digits(u64::from_le_bytes(*b"99999999")), 99_999_999);
         assert_eq!(eight_digits(u64::from_le_bytes(*b"09080706")), 9_080_706);
-        for pos in 0..8 {
-            for byte in 0..=255u8 {
-                let mut chunk = *b"01234567";
-                chunk[pos] = byte;
-                let mask = non_digit_mask(u64::from_le_bytes(chunk));
-                if byte.is_ascii_digit() {
-                    assert_eq!(mask, 0, "{chunk:?}");
-                } else {
-                    assert_eq!(mask.trailing_zeros() / 8, pos as u32, "{chunk:?}");
+        // The classifier and the gathered bitmap are exact for every byte
+        // at every position, whatever its neighbours are: digits, bytes
+        // just outside `'0'..='9'`, or bytes with the high bit set.
+        for background in [
+            *b"01234567",
+            *b"99999999",
+            *b"/:/:/:/:",
+            [0xFF; 8],
+            [0xBA; 8],
+        ] {
+            for pos in 0..8 {
+                for byte in 0..=255u8 {
+                    let mut chunk = background;
+                    chunk[pos] = byte;
+                    let flags = non_digit_flags(u64::from_le_bytes(chunk));
+                    let mut expected_flags = 0;
+                    let mut expected_bits = 0;
+                    for (i, b) in chunk.iter().enumerate() {
+                        if !b.is_ascii_digit() {
+                            expected_flags |= 0x80 << (8 * i);
+                            expected_bits |= 1 << i;
+                        }
+                    }
+                    assert_eq!(flags, expected_flags, "{chunk:?}");
+                    assert_eq!(gather(flags), expected_bits, "{chunk:?}");
                 }
             }
         }
+        // The bytes below the top `n` never reach the value.
+        for (n, pow) in POW10[..=8].iter().enumerate() {
+            let expected = 12_345_678 % pow;
+            assert_eq!(
+                eight_digits(zero_pad(u64::from_le_bytes(*b"12345678"), n)),
+                expected
+            );
+            if n <= 6 {
+                let padded = zero_pad(u64::from_le_bytes(*b"e-345678"), n);
+                assert_eq!(eight_digits(padded), expected, "{n}");
+            }
+        }
+    }
+
+    /// `len` digits cycling through `1234567890`, the first `zeros` of
+    /// them (at most `len`) replaced by `'0'`.
+    fn run(len: usize, zeros: usize) -> String {
+        (0..len)
+            .map(|i| {
+                if i < zeros {
+                    '0'
+                } else {
+                    char::from(b"1234567890"[i % 10])
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn bitmap_path_matches_the_general_scanner() {
+        // Every entry of 1–32 bytes built from an optional sign, an integer
+        // run, a point or none, a fraction run, with or without leading
+        // zeros, and no exponent or one of 0–10 digits (plain or
+        // zero-padded) behind `e`/`E` and `+`, `-` or no sign. The bitmap
+        // path must give what the general path gives, and answer exactly
+        // the well-formed entries it covers.
+        let mut exponents = vec![(String::new(), None)];
+        for marker in ["e", "E"] {
+            for sign in ["", "+", "-"] {
+                for n in 0..=10usize {
+                    for zeros in [0, n.saturating_sub(1)] {
+                        exponents.push((format!("{marker}{sign}{}", run(n, zeros)), Some(n)));
+                    }
+                }
+            }
+        }
+        let (mut entries, mut covered) = (0, 0);
+        for sign in ["", "-", "+"] {
+            for int_len in 0..=24 {
+                for frac_len in (0..=24).map(Some).chain([None]) {
+                    for zeros in [0, 3] {
+                        let mut body = sign.to_string() + &run(int_len, zeros);
+                        if let Some(frac_len) = frac_len {
+                            body += ".";
+                            body += &run(frac_len, zeros);
+                        }
+                        let digits = int_len + frac_len.unwrap_or(0);
+                        let significant = body
+                            .bytes()
+                            .filter(u8::is_ascii_digit)
+                            .skip_while(|&b| b == b'0')
+                            .count();
+                        for (exponent, exp_digits) in &exponents {
+                            let s = body.clone() + exponent;
+                            if s.is_empty() || s.len() > 32 {
+                                continue;
+                            }
+                            let valid = digits > 0 && *exp_digits != Some(0);
+                            let covers = (8..=24).contains(&s.len())
+                                && significant <= MAX_DIGITS
+                                && exp_digits.unwrap_or(0) <= 8;
+                            let bitmap = scan_bitmap(s.as_bytes());
+                            let general = scan_general(s.as_bytes());
+                            assert_eq!(general.is_some(), valid, "{s:?}");
+                            assert_eq!(bitmap.is_some(), valid && covers, "{s:?}");
+                            if bitmap.is_some() {
+                                assert_eq!(bitmap, general, "{s:?}");
+                            }
+                            entries += 1;
+                            covered += usize::from(bitmap.is_some());
+                        }
+                    }
+                }
+            }
+        }
+        assert!(covered * 4 > entries, "{covered} of {entries} covered");
     }
 
     /// The exact value `D × 10^E` of a finite literal against the scan:

@@ -1,7 +1,8 @@
 //! Boundary tests for the reader's fast-tier scanner, which measures digit
 //! runs and converts digits eight bytes at a time: every run length across
-//! the 8-byte steps and the 19-digit window, and foreign bytes at every
-//! offset of an 8-byte window. Each literal must read the same through the
+//! the 8-byte steps and the 19-digit window, entries either side of the
+//! 8–24 bytes the bitmap path covers, exponents of 8 and 9 digits, and
+//! foreign bytes at every offset of an 8-byte window. Each literal must read the same through the
 //! fast tiers as through the exact big-integer oracle, and a literal the
 //! scanner accepts must be one `parse_literal` accepts. Byte strings that
 //! are not UTF-8 reach the scanner through `BatchParser::parse_offsets`,
@@ -64,12 +65,36 @@ fn digit_runs_of_every_length() {
                     format!("{lead}7.{lead}{run}e-300"),
                     format!("{lead}{run}.{lead}{run}"),
                     format!("+{lead}{run}.5e17"),
+                    // Exponents of 8 digits (the most one word holds) and 9.
+                    format!("{lead}{run}e-00000012"),
+                    format!("{lead}{run}E+000000123"),
                 ] {
                     total += 1;
                     answered += usize::from(check(&s));
                 }
             }
         }
+    }
+    // Entries of 7, 8, 24 and 25 bytes, either side of the 8–24-byte
+    // entries the one-bitmap layout covers, in every shape; and a
+    // zero-padded exponent longer than one word.
+    for len in [7, 8, 24, 25] {
+        for s in [
+            digits(len, false),
+            format!("{}.{}", digits(1, false), digits(len - 2, true)),
+            format!("-0.{}", digits(len - 3, false)),
+            format!("{}.{}e-7", digits(3, false), digits(len - 7, false)),
+            format!("{}E+308", digits(len - 5, false)),
+            format!("{}.e-22", digits(len - 5, true)),
+        ] {
+            assert_eq!(s.len(), len, "{s:?}");
+            total += 1;
+            answered += usize::from(check(&s));
+        }
+    }
+    for s in ["1e-000000000000000000005", "1.5e+000000000000000000000300"] {
+        total += 1;
+        answered += usize::from(check(s));
     }
     // The tiers answer nearly everything of this shape; the check above is
     // vacuous for the rest, so make sure it ran.
